@@ -35,8 +35,6 @@ from .compare import (
 )
 from .core import (
     REGISTRY,
-    BenchRun,
-    BenchSpec,
     load_bench,
     render_summary,
     run_benchmarks,
@@ -55,11 +53,10 @@ from .perf import (
     select_perf,
     write_perf,
 )
-from . import workloads  # noqa: F401  (populates REGISTRY)
+from .workloads import BenchEntry
 
 __all__ = [
-    "BenchRun",
-    "BenchSpec",
+    "BenchEntry",
     "REGISTRY",
     "select",
     "run_benchmarks",

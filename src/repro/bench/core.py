@@ -1,10 +1,11 @@
 """The benchmark harness: run the curated set, emit ``BENCH_<label>.json``.
 
-Every benchmark is a :class:`BenchSpec` whose runner maps a seed to a
-:class:`BenchRun` — one or more **virtual-time** samples plus an optional
-critical-path attribution vector.  The harness runs each benchmark once
-per seed, pools the samples (paired across files by position, so two runs
-with the same seed list compare sample-for-sample), and serializes a
+Every benchmark is a :class:`~repro.bench.workloads.BenchEntry` naming a
+fleet spec; the harness runs the spec's workload once per seed, each run
+yielding a :class:`~repro.fleet.workloads.FleetResult` — one or more
+**virtual-time** samples plus an optional critical-path attribution
+vector.  Samples are pooled (paired across files by position, so two runs
+with the same seed list compare sample-for-sample) and serialized as a
 deterministic JSON document: no wall-clock or host fields, so a committed
 baseline reproduces byte-for-byte on any machine.
 """
@@ -13,15 +14,14 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
+
+from .workloads import REGISTRY, BenchEntry
 
 __all__ = [
     "SCHEMA_VERSION",
-    "BenchRun",
-    "BenchSpec",
     "REGISTRY",
-    "register",
     "select",
     "make_entry",
     "run_benchmarks",
@@ -33,60 +33,16 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class BenchRun:
-    """The outcome of one benchmark invocation at one seed."""
-
-    #: Virtual-time samples (one per operation; at least one).
-    samples: List[float]
-    #: Summed critical-path attribution over the run's operations (us per
-    #: component; see :data:`repro.telemetry.critpath.COMPONENTS`).
-    attribution: Optional[Dict[str, float]] = None
-    #: Number of operations the attribution sums over.
-    ops: int = 0
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    """One entry in the curated benchmark set."""
-
-    name: str
-    unit: str
-    higher_is_better: bool
-    runner: Callable[[int], BenchRun]
-    #: Included in the --quick subset (CI-sized).
-    quick: bool = True
-    description: str = ""
-    #: Which benchmark suite the spec belongs to.  The default selection
-    #: runs only the ``"seed"`` suite, so the committed ``BENCH_seed.json``
-    #: baseline stays byte-identical as new suites (e.g. ``"serve"``) are
-    #: added; select others with ``--suite``.
-    suite: str = "seed"
-
-
-#: name -> spec, in registration order (dicts preserve it).
-REGISTRY: Dict[str, BenchSpec] = {}
-
-
-def register(spec: BenchSpec) -> BenchSpec:
-    if spec.name in REGISTRY:
-        raise ValueError(f"duplicate benchmark {spec.name!r}")
-    REGISTRY[spec.name] = spec
-    return spec
-
-
 def select(
     names: Optional[Sequence[str]] = None,
     quick: bool = False,
     suite: str = "seed",
-) -> List[BenchSpec]:
+) -> List[BenchEntry]:
     """The benchmarks to run, validating any explicit name list.
 
     An explicit ``names`` list overrides the suite filter; otherwise only
-    specs of ``suite`` are selected.
+    entries of ``suite`` are selected.
     """
-    from . import workloads  # noqa: F401  (populates REGISTRY on import)
-
     if names:
         unknown = [n for n in names if n not in REGISTRY]
         if unknown:
@@ -94,13 +50,13 @@ def select(
                 f"unknown benchmarks {unknown}; choose from {sorted(REGISTRY)}"
             )
         return [REGISTRY[n] for n in names]
-    specs = [s for s in REGISTRY.values() if s.suite == suite]
-    if not specs:
-        suites = sorted({s.suite for s in REGISTRY.values()})
+    entries = [e for e in REGISTRY.values() if e.suite == suite]
+    if not entries:
+        suites = sorted({e.suite for e in REGISTRY.values()})
         raise ValueError(f"unknown suite {suite!r}; choose from {suites}")
     if quick:
-        specs = [s for s in specs if s.quick]
-    return specs
+        entries = [e for e in entries if e.quick]
+    return entries
 
 
 def _percentile(samples: List[float], p: float) -> float:
@@ -161,35 +117,36 @@ def run_benchmarks(
     committed ``BENCH_seed.json`` baseline is unaffected by new suites.
     """
     from .. import __version__
+    from ..fleet.workloads import resolve_workload
     from ..hardware import DEFAULT_PARAMS
 
-    specs = select(names, quick=quick, suite=suite)
     benchmarks: Dict[str, Dict] = {}
-    for spec in specs:
+    for bench in select(names, quick=quick, suite=suite):
+        workload = resolve_workload(bench.spec.workload)
         samples: List[float] = []
         attribution: Dict[str, float] = {}
         ops = 0
         for seed in seeds:
-            run = spec.runner(seed)
-            if not run.samples:
-                raise RuntimeError(f"benchmark {spec.name} produced no samples")
-            samples.extend(run.samples)
-            if run.attribution is not None:
-                ops += run.ops
-                for key, value in run.attribution.items():
+            result = workload.run(replace(bench.spec, seed=seed))
+            if not result.samples:
+                raise RuntimeError(f"benchmark {bench.name} produced no samples")
+            samples.extend(result.samples)
+            if result.attribution is not None:
+                ops += result.ops
+                for key, value in result.attribution.items():
                     attribution[key] = attribution.get(key, 0.0) + value
         entry = make_entry(
-            spec.unit,
-            spec.higher_is_better,
+            result.unit,
+            result.higher_is_better,
             samples,
             attribution=attribution,
             ops=ops,
         )
-        benchmarks[spec.name] = entry
+        benchmarks[bench.name] = entry
         if log is not None:
             log(
-                f"{spec.name}: n={len(samples)} median={entry['median']:.3f} "
-                f"{spec.unit}"
+                f"{bench.name}: n={len(samples)} median={entry['median']:.3f} "
+                f"{result.unit}"
             )
     return {
         "schema": SCHEMA_VERSION,

@@ -251,34 +251,12 @@ def _resource_contention(scale: int) -> PerfResult:
 
 
 def _stream(senders: int, nbytes: int, ops: int) -> PerfResult:
-    """``senders`` nodes each stream ``ops`` sends into node 0, no telemetry."""
+    """The fleet stream program on a telemetry-off machine."""
+    from ..fleet.workloads import spawn_stream
     from ..node import Machine
-    from ..vmmc import VMMCRuntime
 
     machine = Machine(num_nodes=senders + 1, seed=1998)
-    vmmc = VMMCRuntime(machine)
-    receiver = vmmc.endpoint(machine.create_process(0))
-    payload = (bytes(range(256)) * (-(-nbytes // 256)))[:nbytes]
-
-    def rx():
-        buffers = []
-        for s in range(senders):
-            buffer = yield from receiver.export(nbytes, name=f"perf.{s}")
-            buffers.append(buffer)
-        for buffer in buffers:
-            yield from receiver.wait_bytes(buffer, nbytes * ops)
-
-    def tx(s: int):
-        endpoint = vmmc.endpoint(machine.create_process(s + 1))
-        imported = yield from endpoint.import_buffer(f"perf.{s}")
-        src = endpoint.alloc(nbytes)
-        endpoint.poke(src, payload)
-        for _ in range(ops):
-            yield from endpoint.send(imported, src, nbytes, sync_delivered=True)
-
-    machine.sim.spawn(rx(), "perf.rx")
-    for s in range(senders):
-        machine.sim.spawn(tx(s), f"perf.tx{s}")
+    spawn_stream(machine, senders, nbytes, ops)
     return _timed_run(
         machine.sim,
         ops=senders * ops,

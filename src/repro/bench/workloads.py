@@ -1,6 +1,12 @@
-"""The curated benchmark set.
+"""The curated benchmark set: named selections over the fleet workloads.
 
-Three families:
+Every benchmark is a :class:`BenchEntry` — a name, a suite, a quick flag,
+a description and an :class:`~repro.fleet.ExperimentSpec` (a
+:mod:`repro.fleet.workloads` workload plus its params).  No program is
+written here: :func:`repro.bench.core.run_benchmarks` runs each entry's
+spec through :func:`repro.fleet.workloads.resolve_workload` once per seed.
+
+The ``seed`` suite (gated by ``BENCH_seed.json``) has three families:
 
 * **micro** — the section 4.1 microbenchmarks (word latency, send
   overhead, bulk bandwidth), one sample per seed;
@@ -12,9 +18,9 @@ Three families:
   elapsed time plus the aggregate attribution of every top-level
   operation in the run.
 
-Plus the growth-direction suites, gated by their own baselines rather
-than ``BENCH_seed.json``: **serve** (serving-tier latency/goodput) and
-**coll** (in-network collectives: barrier, allreduce, broadcast).
+Plus the growth-direction suites, gated by their own baselines:
+**serve** (serving-tier latency/goodput) and **coll** (in-network
+collectives: barrier, allreduce, broadcast).
 
 Everything is seeded and measured in virtual time, so a benchmark's
 samples are a pure function of the code — which is what makes the
@@ -23,378 +29,98 @@ committed baseline comparable across machines.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-from ..node import Machine
-from ..telemetry import critpath
-from ..vmmc import ReliableConfig, VMMCRuntime
-from .core import BenchRun, BenchSpec, register
+from ..fleet.catalog import ExperimentSpec, make_spec
 
-__all__ = ["PING_OPS"]
-
-#: Operations per ping benchmark per seed (first op excluded as warm-up).
-PING_OPS = 9
+__all__ = ["BenchEntry", "BENCHMARKS", "REGISTRY"]
 
 
-def _micro(fn: Callable[[], float]) -> Callable[[int], BenchRun]:
-    """Wrap a repro.study.micro function (deterministic; seed-independent)."""
+@dataclass(frozen=True)
+class BenchEntry:
+    """One named benchmark: which suite it gates and what spec it runs."""
 
-    def runner(seed: int) -> BenchRun:
-        return BenchRun(samples=[fn()])
-
-    return runner
-
-
-def _payload(nbytes: int) -> bytes:
-    return (bytes(range(256)) * (-(-nbytes // 256)))[:nbytes]
-
-
-def _ping_machine(
-    seed: int, senders: int, drop_rate: float = 0.0
-) -> Machine:
-    fault_config = None
-    if drop_rate > 0.0:
-        from ..faults import FaultConfig
-
-        fault_config = FaultConfig(drop_rate=drop_rate)
-    return Machine(
-        num_nodes=senders + 1,
-        seed=seed,
-        telemetry=True,
-        fault_config=fault_config,
-    )
+    name: str
+    #: Which benchmark suite the entry belongs to.  The default selection
+    #: runs only the ``"seed"`` suite, so the committed ``BENCH_seed.json``
+    #: baseline stays byte-identical as new suites are added; select
+    #: others with ``--suite``.
+    suite: str
+    #: Included in the --quick subset (CI-sized).
+    quick: bool
+    description: str
+    #: The fleet spec run at each seed (its own ``seed`` is replaced).
+    spec: ExperimentSpec
 
 
-def _ping(
-    seed: int,
-    nbytes: int,
-    ops: int = PING_OPS,
-    senders: int = 1,
-    drop_rate: float = 0.0,
-    reliable: bool = False,
-) -> BenchRun:
-    """``senders`` nodes each stream ``ops`` messages into node 0.
+BENCHMARKS = (
+    # -- seed: section 4.1 microbenchmarks ---------------------------------
+    BenchEntry("du_word_latency", "seed", True,
+               "one-word deliberate-update end-to-end latency",
+               make_spec("micro", measure="du_word_latency")),
+    BenchEntry("au_word_latency", "seed", True,
+               "one-word automatic-update end-to-end latency",
+               make_spec("micro", measure="au_word_latency")),
+    BenchEntry("du_send_overhead", "seed", True,
+               "send-side cost of an asynchronous deliberate update",
+               make_spec("micro", measure="du_send_overhead")),
+    BenchEntry("du_bulk_bandwidth", "seed", True,
+               "64 KB deliberate-update bandwidth",
+               make_spec("micro", measure="du_bulk_bandwidth")),
+    BenchEntry("au_bulk_bandwidth", "seed", True,
+               "64 KB combined automatic-update bandwidth",
+               make_spec("micro", measure="au_bulk_bandwidth")),
+    # -- seed: pings (sender -> node 0 streams) ----------------------------
+    BenchEntry("du_ping_word", "seed", True,
+               "4 B deliberate-update send, initiation to delivery",
+               make_spec("ping", nodes=2, nbytes=4)),
+    BenchEntry("du_ping_4k", "seed", True,
+               "one-page deliberate-update send",
+               make_spec("ping", nodes=2, nbytes=4096)),
+    BenchEntry("du_fanin_4k", "seed", True,
+               "3-to-1 fan-in of one-page sends (contention)",
+               make_spec("ping", nodes=4, nbytes=4096)),
+    BenchEntry("rel_ping_lossy", "seed", True,
+               "reliable-channel send over a 10%-drop fabric",
+               make_spec("ping", nodes=2, fault_plan="drop10", nbytes=4096,
+                         reliable=True)),
+    # -- seed: suite applications (full mode only) -------------------------
+    BenchEntry("radix_vmmc_du", "seed", False,
+               "Radix-VMMC (du, P=4) elapsed time",
+               make_spec("app", nodes=4, app="Radix-VMMC", mode="du")),
+    BenchEntry("barnes_nx_du", "seed", False,
+               "Barnes-NX (du, P=4) elapsed time",
+               make_spec("app", nodes=4, app="Barnes-NX", mode="du")),
+    BenchEntry("radix_svm_au", "seed", False,
+               "Radix-SVM (au, P=4) elapsed time",
+               make_spec("app", nodes=4, app="Radix-SVM", mode="au")),
+    # -- serve -------------------------------------------------------------
+    BenchEntry("serve_request_latency", "serve", True,
+               "per-request latency, 2x2 tier, hash balancer",
+               make_spec("serve", nodes=4, balancer="hash")),
+    BenchEntry("serve_goodput_mmpp", "serve", True,
+               "goodput under bursty MMPP overload, p2c balancer",
+               make_spec("serve", nodes=4, balancer="p2c", arrivals="mmpp",
+                         rps=60_000.0, measure="goodput")),
+    # -- coll: CollWorld trains on 16 ranks, no warm-up ---------------------
+    BenchEntry("coll_barrier_nic_16", "coll", True,
+               "NIC-resident tree barrier, 16 nodes",
+               make_spec("coll", nodes=16, api="coll", mode="tree-nic",
+                         op="barrier")),
+    BenchEntry("coll_barrier_host_16", "coll", True,
+               "host-backend tree barrier, 16 nodes",
+               make_spec("coll", nodes=16, api="coll", mode="tree-host",
+                         op="barrier")),
+    BenchEntry("coll_allreduce_nic_16", "coll", True,
+               "NIC-resident combining allreduce, 16 nodes",
+               make_spec("coll", nodes=16, api="coll", mode="tree-nic",
+                         op="allreduce")),
+    BenchEntry("coll_bcast_4k_nic_16", "coll", True,
+               "switch-replicated 4 KB broadcast, 16 nodes",
+               make_spec("coll", nodes=16, api="coll", mode="tree-nic",
+                         op="bcast")),
+)
 
-    Returns one latency sample per ``vmmc.send`` span (warm-up op of each
-    sender dropped from the samples but kept in the attribution sums).
-    """
-    machine = _ping_machine(seed, senders, drop_rate)
-    vmmc = VMMCRuntime(machine)
-    receiver = vmmc.endpoint(machine.create_process(0))
-    payload = _payload(nbytes)
-
-    def rx():
-        buffers = []
-        for s in range(senders):
-            buffer = yield from receiver.export(nbytes, name=f"bench.{s}")
-            buffers.append(buffer)
-        for buffer in buffers:
-            yield from receiver.wait_bytes(buffer, nbytes * ops)
-
-    def tx(s: int):
-        endpoint = vmmc.endpoint(machine.create_process(s + 1))
-        imported = yield from endpoint.import_buffer(f"bench.{s}")
-        src = endpoint.alloc(nbytes)
-        endpoint.poke(src, payload)
-        if reliable:
-            channel = endpoint.open_reliable(
-                imported, ReliableConfig(timeout_us=300.0)
-            )
-            for _ in range(ops):
-                yield from channel.send(src, nbytes)
-        else:
-            for _ in range(ops):
-                yield from endpoint.send(
-                    imported, src, nbytes, sync_delivered=True
-                )
-
-    machine.sim.spawn(rx(), "bench.rx")
-    for s in range(senders):
-        machine.sim.spawn(tx(s), f"bench.tx{s}")
-    machine.sim.run()
-
-    tel = machine.telemetry
-    agg = critpath.aggregate(tel, "vmmc.send", top=0)
-    roots = critpath.operation_roots(tel, "vmmc.send")
-    # Drop each sender's first (cold) operation from the latency samples.
-    by_node: Dict[int, list] = {}
-    for root in roots:
-        by_node.setdefault(root.node, []).append(root)
-    samples = []
-    for sends in by_node.values():
-        sends.sort(key=lambda span: span.start)
-        samples.extend(span.duration for span in sends[1:])
-    return BenchRun(
-        samples=samples or [span.duration for span in roots],
-        attribution=agg.components,
-        ops=agg.count,
-    )
-
-
-def _app(
-    name: str, mode: str, nprocs: int
-) -> Callable[[int], BenchRun]:
-    def runner(seed: int) -> BenchRun:
-        from ..apps.base import run_app
-        from ..study.suite import spec
-
-        app_spec = spec(name)
-        machine = Machine(
-            nprocs, params=app_spec.params, seed=seed, telemetry=True
-        )
-        result = run_app(app_spec.factory(mode), nprocs, machine=machine)
-        agg = critpath.aggregate(machine.telemetry, None, top=0)
-        return BenchRun(
-            samples=[result.elapsed_us],
-            attribution=agg.components,
-            ops=agg.count,
-        )
-
-    return runner
-
-
-def _register_micro() -> None:
-    from ..study import micro
-
-    register(
-        BenchSpec(
-            "du_word_latency", "us", False, _micro(micro.du_word_latency),
-            description="one-word deliberate-update end-to-end latency",
-        )
-    )
-    register(
-        BenchSpec(
-            "au_word_latency", "us", False, _micro(micro.au_word_latency),
-            description="one-word automatic-update end-to-end latency",
-        )
-    )
-    register(
-        BenchSpec(
-            "du_send_overhead", "us", False, _micro(micro.du_send_overhead),
-            description="send-side cost of an asynchronous deliberate update",
-        )
-    )
-    register(
-        BenchSpec(
-            "du_bulk_bandwidth", "MB/s", True,
-            _micro(micro.du_bulk_bandwidth),
-            description="64 KB deliberate-update bandwidth",
-        )
-    )
-    register(
-        BenchSpec(
-            "au_bulk_bandwidth", "MB/s", True,
-            _micro(micro.au_bulk_bandwidth),
-            description="64 KB combined automatic-update bandwidth",
-        )
-    )
-
-
-def _register_pings() -> None:
-    register(
-        BenchSpec(
-            "du_ping_word", "us", False,
-            lambda seed: _ping(seed, nbytes=4),
-            description="4 B deliberate-update send, initiation to delivery",
-        )
-    )
-    register(
-        BenchSpec(
-            "du_ping_4k", "us", False,
-            lambda seed: _ping(seed, nbytes=4096),
-            description="one-page deliberate-update send",
-        )
-    )
-    register(
-        BenchSpec(
-            "du_fanin_4k", "us", False,
-            lambda seed: _ping(seed, nbytes=4096, senders=3),
-            description="3-to-1 fan-in of one-page sends (contention)",
-        )
-    )
-    register(
-        BenchSpec(
-            "rel_ping_lossy", "us", False,
-            lambda seed: _ping(
-                seed, nbytes=4096, drop_rate=0.1, reliable=True
-            ),
-            description="reliable-channel send over a 10%-drop fabric",
-        )
-    )
-
-
-def _register_apps() -> None:
-    register(
-        BenchSpec(
-            "radix_vmmc_du", "us", False, _app("Radix-VMMC", "du", 4),
-            quick=False,
-            description="Radix-VMMC (du, P=4) elapsed time",
-        )
-    )
-    register(
-        BenchSpec(
-            "barnes_nx_du", "us", False, _app("Barnes-NX", "du", 4),
-            quick=False,
-            description="Barnes-NX (du, P=4) elapsed time",
-        )
-    )
-    register(
-        BenchSpec(
-            "radix_svm_au", "us", False, _app("Radix-SVM", "au", 4),
-            quick=False,
-            description="Radix-SVM (au, P=4) elapsed time",
-        )
-    )
-
-
-def _serve_latency(seed: int) -> BenchRun:
-    """Per-request latency distribution of a small hash-balanced tier.
-
-    Samples are the telemetry durations of every completed
-    ``serve.request`` span, so the committed baseline pins the whole
-    latency distribution (tail included), and the attribution vector
-    records where request time goes (cpu vs link vs stall).
-    """
-    from ..serve import ServeCluster, ServeConfig
-
-    config = ServeConfig(
-        num_shards=2,
-        num_aggregates=2,
-        balancer="hash",
-        offered_rps=40_000.0,
-        duration_us=5_000.0,
-    )
-    cluster = ServeCluster(config, seed=seed, telemetry=True)
-    cluster.run()
-    tel = cluster.machine.telemetry
-    agg = critpath.aggregate(tel, "serve.request", top=0)
-    samples = [span.duration for span in critpath.operation_roots(tel, "serve.request")]
-    return BenchRun(samples=samples, attribution=agg.components, ops=agg.count)
-
-
-def _serve_goodput(seed: int) -> BenchRun:
-    """Goodput of a p2c-balanced tier under bursty (MMPP) overload."""
-    from ..serve import ServeCluster, ServeConfig
-
-    config = ServeConfig(
-        num_shards=2,
-        num_aggregates=2,
-        balancer="p2c",
-        arrivals="mmpp",
-        offered_rps=60_000.0,
-        duration_us=5_000.0,
-    )
-    cluster = ServeCluster(config, seed=seed)
-    report = cluster.run()
-    return BenchRun(samples=[report.goodput_rps])
-
-
-def _coll_ops(
-    seed: int,
-    backend: str,
-    nodes: int,
-    op: str = "barrier",
-    ops: int = 8,
-) -> BenchRun:
-    """``ops`` collectives on ``nodes`` ranks; one sample per op span.
-
-    The first operation of each rank (cold trees, engine queues, rank
-    start skew) is dropped from the latency samples but kept in the
-    attribution sums, mirroring the ping benchmarks.
-    """
-    from ..coll import CollConfig, CollWorld
-
-    machine = Machine(num_nodes=nodes, seed=seed, telemetry=True)
-    world = CollWorld(machine, nodes, CollConfig(backend=backend))
-
-    def worker(rank: int):
-        coll = world.join(rank, machine.create_process(rank))
-        if op == "barrier":
-            for _ in range(ops):
-                yield from coll.barrier()
-        elif op == "allreduce":
-            for i in range(ops):
-                yield from coll.allreduce(float(rank + i), op="sum")
-        elif op == "bcast":
-            data = _payload(4096) if rank == 0 else None
-            for _ in range(ops):
-                yield from coll.bcast(0, data)
-        else:  # pragma: no cover - spec misconfiguration
-            raise ValueError(f"unknown collective op {op!r}")
-
-    for rank in range(nodes):
-        machine.sim.spawn(worker(rank), f"bench.coll.r{rank}")
-    machine.sim.run()
-
-    tel = machine.telemetry
-    span_name = f"coll.{op}"
-    agg = critpath.aggregate(tel, span_name, top=0)
-    by_node: Dict[int, list] = {}
-    for root in critpath.operation_roots(tel, span_name):
-        by_node.setdefault(root.node, []).append(root)
-    samples = []
-    for spans in by_node.values():
-        spans.sort(key=lambda span: span.start)
-        samples.extend(span.duration for span in spans[1:])
-    return BenchRun(
-        samples=samples, attribution=agg.components, ops=agg.count
-    )
-
-
-def _register_coll() -> None:
-    register(
-        BenchSpec(
-            "coll_barrier_nic_16", "us", False,
-            lambda seed: _coll_ops(seed, "nic", 16, "barrier"),
-            suite="coll",
-            description="NIC-resident tree barrier, 16 nodes",
-        )
-    )
-    register(
-        BenchSpec(
-            "coll_barrier_host_16", "us", False,
-            lambda seed: _coll_ops(seed, "host", 16, "barrier"),
-            suite="coll",
-            description="host-backend tree barrier, 16 nodes",
-        )
-    )
-    register(
-        BenchSpec(
-            "coll_allreduce_nic_16", "us", False,
-            lambda seed: _coll_ops(seed, "nic", 16, "allreduce"),
-            suite="coll",
-            description="NIC-resident combining allreduce, 16 nodes",
-        )
-    )
-    register(
-        BenchSpec(
-            "coll_bcast_4k_nic_16", "us", False,
-            lambda seed: _coll_ops(seed, "nic", 16, "bcast"),
-            suite="coll",
-            description="switch-replicated 4 KB broadcast, 16 nodes",
-        )
-    )
-
-
-def _register_serve() -> None:
-    register(
-        BenchSpec(
-            "serve_request_latency", "us", False, _serve_latency,
-            suite="serve",
-            description="per-request latency, 2x2 tier, hash balancer",
-        )
-    )
-    register(
-        BenchSpec(
-            "serve_goodput_mmpp", "rps", True, _serve_goodput,
-            suite="serve",
-            description="goodput under bursty MMPP overload, p2c balancer",
-        )
-    )
-
-
-_register_micro()
-_register_pings()
-_register_apps()
-_register_serve()
-_register_coll()
+#: name -> entry, in table order.
+REGISTRY: Dict[str, BenchEntry] = {entry.name: entry for entry in BENCHMARKS}

@@ -6,8 +6,8 @@ DESIGN.md §15) plus its sidecars — the Chrome trace, the postmortem dump,
 the rendered report.  The record is written **last** and atomically
 (temp file + ``os.replace``), so its presence is the commit marker: a
 crash mid-run leaves sidecars without a record, which :meth:`RunStore.status`
-reports as a miss, and a truncated or hand-edited record fails
-validation and is re-run rather than served.
+reports as a miss, and a truncated, hand-edited or other-version
+record fails validation and is re-run rather than served.
 
 Records carry no wall-clock fields and every run is deterministic, so a
 re-run of an unchanged spec reproduces the record **byte-for-byte** —
@@ -109,7 +109,7 @@ class RunStore:
         return record
 
     def validate(self, record: Dict, fingerprint: str) -> None:
-        """Schema, fingerprint-consistency and sidecar-presence checks."""
+        """Schema, code-version, fingerprint-consistency and sidecar checks."""
         if not isinstance(record, dict):
             raise StoreError("record is not a JSON object")
         for key in _REQUIRED:
@@ -119,6 +119,15 @@ class RunStore:
             raise StoreError(
                 f"unsupported record schema {record['schema']!r} "
                 f"(expected {RECORD_SCHEMA})"
+            )
+        # A record from another code version may hold different results:
+        # re-run it rather than serve it.
+        from .. import __version__
+
+        if record["code_version"] != __version__:
+            raise StoreError(
+                f"record from code version {record['code_version']!r}, "
+                f"not {__version__!r}: stale record"
             )
         if record["fingerprint"] != fingerprint:
             raise StoreError(

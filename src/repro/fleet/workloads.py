@@ -1,36 +1,37 @@
-"""Fleet workloads: what one :class:`ExperimentSpec` actually runs.
+"""Fleet workloads: the one place a workload program is written.
 
-Every workload maps a spec to a :class:`FleetResult` — virtual-time
-samples, a critical-path attribution vector, the telemetry collector (for
-the Chrome-trace sidecar), the health monitor's trips, and any rendered
-report text.  Workloads reuse the existing entry points rather than
-inventing new measurement paths:
+Every workload maps an :class:`ExperimentSpec` to a :class:`FleetResult`
+(samples, attribution, telemetry, monitor, metrics, report).  The other
+experiment surfaces select from this registry instead of copying it:
+``repro.bench`` suites are named specs run through
+:func:`resolve_workload`, and ``repro.bench perf``'s system family,
+``repro.obs scrape`` and ``repro.study coll`` call the same programs
+(:func:`spawn_stream`, :func:`spawn_nx_coll`) on machines they build.
 
-* ``coll`` — the collectives study cell (:mod:`repro.study.collectives`
-  semantics): ``mode`` ∈ ``nx`` / ``tree-host`` / ``tree-nic`` barriers
-  on ``spec.nodes`` ranks, samples = per-operation barrier span
-  durations, attribution from :func:`repro.telemetry.critpath.aggregate`.
-* ``ping`` — the bench ping shape: ``spec.nodes - 1`` senders streaming
-  into node 0, samples = ``vmmc.send`` span durations.
-* ``serve`` — a :class:`repro.serve.ServeCluster` run; samples =
-  ``serve.request`` span durations, goodput in ``metrics``.
-* ``shard`` — the large-mesh packet model (:mod:`repro.shard`) at
-  ``spec.nodes``; samples = per-delivery latencies in virtual time,
-  counters in ``metrics``.  Worker count never changes the result (the
-  shard determinism contract), so records stay reproducible.
-* ``bench:<name>`` — any benchmark registered in
-  :data:`repro.bench.core.REGISTRY`, run at ``spec.seed``.
-* ``study:<family>`` — a :data:`repro.study.__main__.FAMILIES` entry;
-  the rendered tables become the record's ``report.txt`` artifact.
+* ``app`` — a study-suite application (``app=NAME``, ``mode=au|du``);
+  one sample, its elapsed time, attributing every top-level operation.
+* ``coll`` — ``ops`` collectives on ``spec.nodes`` ranks: ``api=nx``
+  (default) runs NX barriers after a warm-up one, ``mode`` placing the
+  barrier; ``api=coll`` drives :class:`repro.coll.CollWorld` directly
+  with ``op=barrier|allreduce|bcast`` and no warm-up.
+* ``micro`` — a section 4.1 microbenchmark (``measure=...``).
+* ``ping`` — ``spec.nodes - 1`` senders streaming into node 0
+  (``reliable=1``: over go-back-N); samples are ``vmmc.send`` spans.
+* ``serve`` — a :class:`repro.serve.ServeCluster` run; samples are
+  ``serve.request`` spans, or with ``measure=goodput`` the goodput.
+* ``shard`` — the large-mesh packet model (:mod:`repro.shard`); samples
+  are per-delivery latencies, independent of the worker count.
+* ``bench:<name>`` — a :mod:`repro.bench` entry's spec at ``spec.seed``.
+* ``study:<family>`` — a :data:`repro.study.__main__.FAMILIES` report.
 
-Platforms come from :mod:`repro.study.platforms`; fault plans are the
-named entries of :data:`FAULT_PLANS` so a catalog can say
-``"fault_plan": ["none", "drop1"]`` and stay declarative.
+Span samples drop each node's cold first op.  Platforms come from
+:mod:`repro.study.platforms`; fault plans are the named entries of
+:data:`FAULT_PLANS`, so a catalog stays declarative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from ..telemetry import critpath
@@ -41,6 +42,10 @@ __all__ = [
     "WORKLOADS",
     "FAULT_PLANS",
     "PLATFORMS",
+    "COLL_MODES",
+    "spawn_stream",
+    "spawn_nx_coll",
+    "spawn_coll_ops",
     "resolve_workload",
     "workload_names",
 ]
@@ -48,11 +53,14 @@ __all__ = [
 
 @dataclass
 class FleetResult:
-    """Everything one workload run hands to the record builder."""
+    """Everything one workload run hands to a fleet record or bench entry."""
 
     unit: str
     higher_is_better: bool
+    #: Virtual-time samples (one per operation).
     samples: List[float]
+    #: Summed critical-path attribution over the run's operations (us per
+    #: component; see :data:`repro.telemetry.critpath.COMPONENTS`).
     attribution: Optional[Dict[str, float]] = None
     #: Operations the attribution sums over.
     ops: int = 0
@@ -70,11 +78,9 @@ class FleetResult:
 
 @dataclass(frozen=True)
 class FleetWorkload:
-    """A registered workload: metadata plus the spec -> result runner."""
+    """A registered workload: a description plus the spec -> result runner."""
 
     name: str
-    unit: str
-    higher_is_better: bool
     description: str
     run: Callable[["ExperimentSpec"], FleetResult]
 
@@ -84,6 +90,7 @@ class FleetWorkload:
 FAULT_PLANS: Dict[str, Optional[dict]] = {
     "none": None,
     "drop1": {"drop_rate": 0.01},
+    "drop10": {"drop_rate": 0.1},
     "corrupt1": {"corrupt_rate": 0.01},
     "outage": {"link_outages": 1, "outage_duration_us": 500.0},
     "rxdiscard": {"rx_overflow_discard": True},
@@ -91,6 +98,19 @@ FAULT_PLANS: Dict[str, Optional[dict]] = {
 
 #: Platform profiles (see repro.study.platforms).
 PLATFORMS = ("shrimp", "myrinet")
+
+#: Barrier placement -> (repro.coll backend, barrier span name).  ``nx``
+#: is the NX library's host-side dissemination barrier (no coll backend).
+COLL_MODES: Dict[str, tuple] = {
+    "nx": (None, "nx.gsync"),
+    "tree-host": ("host", "coll.barrier"),
+    "tree-nic": ("nic", "coll.barrier"),
+}
+
+_COLL_OPS = ("barrier", "allreduce", "bcast")
+
+_MICRO_MEASURES = ("du_word_latency", "au_word_latency", "du_send_overhead",
+                   "du_bulk_bandwidth", "au_bulk_bandwidth")
 
 
 def _fault_config(spec) -> Optional[object]:
@@ -107,8 +127,12 @@ def _fault_config(spec) -> Optional[object]:
     return FaultConfig(**knobs)
 
 
-def _machine(spec, num_nodes: int):
-    """A telemetry-armed, monitor-armed machine for one spec."""
+def _machine(spec, num_nodes: int, params=None):
+    """A telemetry-armed, monitor-armed machine for one spec.
+
+    ``params`` overrides the platform's machine parameters (suite
+    applications carry their own).
+    """
     from ..node import Machine
     from ..study.platforms import (
         myrinet_nic_config,
@@ -118,16 +142,16 @@ def _machine(spec, num_nodes: int):
     )
 
     if spec.platform == "shrimp":
-        params, nic_config = shrimp_params(), shrimp_nic_config()
+        platform_params, nic_config = shrimp_params(), shrimp_nic_config()
     elif spec.platform == "myrinet":
-        params, nic_config = myrinet_params(), myrinet_nic_config()
+        platform_params, nic_config = myrinet_params(), myrinet_nic_config()
     else:
         raise ValueError(
             f"unknown platform {spec.platform!r}; choose from {PLATFORMS}"
         )
     machine = Machine(
         num_nodes=num_nodes,
-        params=params,
+        params=params or platform_params,
         nic_config=nic_config,
         seed=spec.seed,
         fault_config=_fault_config(spec),
@@ -137,94 +161,44 @@ def _machine(spec, num_nodes: int):
     return machine
 
 
+# -- programs: each written once, run on a machine the caller built --------
+
+
+def _payload(nbytes: int) -> bytes:
+    """A deterministic ``nbytes`` message body."""
+    return (bytes(range(256)) * (-(-nbytes // 256)))[:nbytes]
+
+
 def _span_samples(telemetry, span_name: str) -> List[float]:
-    """Per-operation durations with each node's cold first op dropped."""
+    """Per-operation durations with each node's cold first op dropped.
+
+    The first operation of each node (cold caches and trees, rank start
+    skew) stays in the attribution sums but not in the latency samples.
+    """
+    roots = critpath.operation_roots(telemetry, span_name)
     by_node: Dict[int, list] = {}
-    for root in critpath.operation_roots(telemetry, span_name):
+    for root in roots:
         by_node.setdefault(root.node, []).append(root)
     samples: List[float] = []
     for spans in by_node.values():
         spans.sort(key=lambda span: span.start)
         samples.extend(span.duration for span in spans[1:])
-    if not samples:
-        samples = [
-            span.duration
-            for span in critpath.operation_roots(telemetry, span_name)
-        ]
-    return samples
+    return samples or [span.duration for span in roots]
 
 
-_COLL_MODES = ("nx", "tree-host", "tree-nic")
-_COLL_SPAN = {
-    "nx": "nx.gsync",
-    "tree-host": "coll.barrier",
-    "tree-nic": "coll.barrier",
-}
+def spawn_stream(
+    machine, senders: int, nbytes: int, ops: int, reliable: bool = False
+) -> None:
+    """``senders`` nodes each stream ``ops`` ``nbytes`` sends into node 0.
 
-
-def _run_coll(spec) -> FleetResult:
-    from ..coll import CollConfig
-    from ..msg import NXWorld
-    from ..vmmc import VMMCRuntime
-
-    mode = spec.param("mode", "tree-nic")
-    ops = int(spec.param("ops", 8))
-    if mode not in _COLL_MODES:
-        raise ValueError(
-            f"unknown coll mode {mode!r}; choose from {_COLL_MODES}"
-        )
-    machine = _machine(spec, spec.nodes)
-    vmmc = VMMCRuntime(machine)
-    coll = None
-    if mode == "tree-host":
-        coll = CollConfig(backend="host")
-    elif mode == "tree-nic":
-        coll = CollConfig(backend="nic")
-    world = NXWorld(vmmc, spec.nodes, coll=coll)
-
-    def worker(rank: int):
-        nx = yield from world.join(rank, machine.create_process(rank))
-        # Warmup barrier absorbs the join rendezvous skew; its spans are
-        # the cold ops _span_samples drops.
-        yield from nx.gsync()
-        for _ in range(ops):
-            yield from nx.gsync()
-
-    for rank in range(spec.nodes):
-        machine.sim.spawn(worker(rank), f"fleet.coll.r{rank}")
-    machine.sim.run()
-
-    telemetry = machine.telemetry
-    span_name = _COLL_SPAN[mode]
-    agg = critpath.aggregate(telemetry, span_name, top=0)
-    return FleetResult(
-        unit="us",
-        higher_is_better=False,
-        samples=_span_samples(telemetry, span_name),
-        attribution=agg.components,
-        ops=agg.count,
-        telemetry=telemetry,
-        monitor=machine.monitor,
-        virtual_end_us=machine.now,
-        metrics={
-            "coll_packets": float(
-                machine.stats.counter_value("coll.packets")
-            ),
-        },
-    )
-
-
-def _run_ping(spec) -> FleetResult:
+    Plain sends wait for delivery (``sync_delivered``); ``reliable`` sends
+    go over a go-back-N channel instead.
+    """
     from ..vmmc import ReliableConfig, VMMCRuntime
 
-    nbytes = int(spec.param("nbytes", 4096))
-    ops = int(spec.param("ops", 9))
-    reliable = bool(spec.param("reliable", False))
-    senders = max(1, spec.nodes - 1)
-    machine = _machine(spec, senders + 1)
     vmmc = VMMCRuntime(machine)
     receiver = vmmc.endpoint(machine.create_process(0))
-    payload = (bytes(range(256)) * (-(-nbytes // 256)))[:nbytes]
+    data = _payload(nbytes)
 
     def rx():
         buffers = []
@@ -238,7 +212,7 @@ def _run_ping(spec) -> FleetResult:
         endpoint = vmmc.endpoint(machine.create_process(s + 1))
         imported = yield from endpoint.import_buffer(f"fleet.{s}")
         src = endpoint.alloc(nbytes)
-        endpoint.poke(src, payload)
+        endpoint.poke(src, data)
         if reliable:
             channel = endpoint.open_reliable(
                 imported, ReliableConfig(timeout_us=300.0)
@@ -254,32 +228,151 @@ def _run_ping(spec) -> FleetResult:
     machine.sim.spawn(rx(), "fleet.rx")
     for s in range(senders):
         machine.sim.spawn(tx(s), f"fleet.tx{s}")
-    machine.sim.run()
 
+
+def spawn_nx_coll(
+    machine, nodes: int, mode: str, ops: int, allreduces: int = 0
+) -> Dict[str, float]:
+    """NX ranks run a warm-up barrier, ``ops`` barriers, then
+    ``allreduces`` sum-allreduces; ``mode`` places the barrier.
+
+    Returns rank 0's virtual-time marks (``start`` after the warm-up,
+    ``mid`` after the barriers, ``end`` after the allreduces), filled in
+    as the run proceeds.
+    """
+    from ..coll import CollConfig
+    from ..msg import NXWorld
+    from ..vmmc import VMMCRuntime
+
+    if mode not in COLL_MODES:
+        raise ValueError(
+            f"unknown coll mode {mode!r}; choose from {tuple(COLL_MODES)}"
+        )
+    backend = COLL_MODES[mode][0]
+    vmmc = VMMCRuntime(machine)
+    coll = CollConfig(backend=backend) if backend is not None else None
+    world = NXWorld(vmmc, nodes, coll=coll)
+    marks: Dict[str, float] = {}
+
+    def worker(rank: int):
+        nx = yield from world.join(rank, machine.create_process(rank))
+        # Warm-up barrier: absorbs the join rendezvous skew, so measured
+        # operations start from a common front; its spans are the cold
+        # ops _span_samples drops.
+        yield from nx.gsync()
+        if rank == 0:
+            marks["start"] = machine.now
+        for _ in range(ops):
+            yield from nx.gsync()
+        if rank == 0:
+            marks["mid"] = machine.now
+        for i in range(allreduces):
+            yield from nx.allreduce(float(rank + i), lambda a, b: a + b,
+                                    name="sum")
+        if rank == 0:
+            marks["end"] = machine.now
+
+    for rank in range(nodes):
+        machine.sim.spawn(worker(rank), f"fleet.coll.r{rank}")
+    return marks
+
+
+def spawn_coll_ops(
+    machine, nodes: int, backend: str, op: str, ops: int
+) -> None:
+    """``ops`` :class:`repro.coll.CollWorld` collectives on ``nodes`` ranks,
+    no warm-up (``bcast`` sends a 4 KB payload from rank 0)."""
+    from ..coll import CollConfig, CollWorld
+
+    if op not in _COLL_OPS:
+        raise ValueError(f"unknown collective op {op!r}; choose from {_COLL_OPS}")
+    world = CollWorld(machine, nodes, CollConfig(backend=backend))
+
+    def worker(rank: int):
+        coll = world.join(rank, machine.create_process(rank))
+        data = _payload(4096) if rank == 0 else None
+        for i in range(ops):
+            if op == "barrier":
+                yield from coll.barrier()
+            elif op == "allreduce":
+                yield from coll.allreduce(float(rank + i), op="sum")
+            else:
+                yield from coll.bcast(0, data)
+
+    for rank in range(nodes):
+        machine.sim.spawn(worker(rank), f"fleet.coll.r{rank}")
+
+
+# -- workloads: spec -> machine -> program -> result ------------------------
+
+
+def _span_result(machine, span_name: str, metrics=None) -> FleetResult:
+    """Latency samples and attribution of ``span_name`` ops in a run."""
     telemetry = machine.telemetry
-    agg = critpath.aggregate(telemetry, "vmmc.send", top=0)
+    agg = critpath.aggregate(telemetry, span_name, top=0)
     return FleetResult(
         unit="us",
         higher_is_better=False,
-        samples=_span_samples(telemetry, "vmmc.send"),
+        samples=_span_samples(telemetry, span_name),
         attribution=agg.components,
         ops=agg.count,
         telemetry=telemetry,
         monitor=machine.monitor,
         virtual_end_us=machine.now,
+        metrics=metrics or {},
     )
+
+
+def _run_coll(spec) -> FleetResult:
+    api = spec.param("api", "nx")
+    mode = spec.param("mode", "tree-nic")
+    op = spec.param("op", "barrier")
+    ops = int(spec.param("ops", 8))
+    backend = COLL_MODES.get(mode, (None,))[0]
+    if not ((api == "nx" and op == "barrier") or (api == "coll" and backend)):
+        raise ValueError(
+            f"unsupported coll api={api!r} mode={mode!r} op={op!r}: api=nx "
+            "runs barriers, api=coll needs mode=tree-host|tree-nic"
+        )
+    machine = _machine(spec, spec.nodes)
+    if api == "nx":
+        spawn_nx_coll(machine, spec.nodes, mode, ops)
+        span_name = COLL_MODES[mode][1]
+    else:
+        spawn_coll_ops(machine, spec.nodes, backend, op, ops)
+        span_name = f"coll.{op}"
+    machine.sim.run()
+    return _span_result(
+        machine,
+        span_name,
+        {"coll_packets": float(machine.stats.counter_value("coll.packets"))},
+    )
+
+
+def _run_ping(spec) -> FleetResult:
+    senders = max(1, spec.nodes - 1)
+    machine = _machine(spec, senders + 1)
+    spawn_stream(
+        machine,
+        senders,
+        nbytes=int(spec.param("nbytes", 4096)),
+        ops=int(spec.param("ops", 9)),
+        reliable=bool(spec.param("reliable", False)),
+    )
+    machine.sim.run()
+    return _span_result(machine, "vmmc.send")
 
 
 def _run_serve(spec) -> FleetResult:
     from ..serve import ServeCluster, ServeConfig
 
-    if spec.fault_plan != "none":
+    # Chaos goes through repro.serve scenarios, not fleet fault plans.
+    _require_defaults(spec, nodes_free=True)
+    measure = spec.param("measure", "latency")
+    if measure not in ("latency", "goodput"):
         raise ValueError(
-            "the serve workload drives chaos through repro.serve scenarios; "
-            "use fault_plan='none' (chaos knobs are future work)"
+            f"unknown serve measure {measure!r}; choose from latency, goodput"
         )
-    if spec.platform != "shrimp":
-        raise ValueError("the serve workload runs on the shrimp platform")
     num_shards = max(1, spec.nodes // 2)
     config = ServeConfig(
         num_shards=num_shards,
@@ -293,27 +386,70 @@ def _run_serve(spec) -> FleetResult:
     report = cluster.run()
     machine = cluster.machine
     telemetry = machine.telemetry
-    agg = critpath.aggregate(telemetry, "serve.request", top=0)
-    samples = [
-        span.duration
-        for span in critpath.operation_roots(telemetry, "serve.request")
-    ]
-    return FleetResult(
+    result = FleetResult(
         unit="us",
         higher_is_better=False,
-        samples=samples,
-        attribution=agg.components,
-        ops=agg.count,
+        samples=[
+            span.duration
+            for span in critpath.operation_roots(telemetry, "serve.request")
+        ],
         telemetry=telemetry,
         monitor=machine.monitor,
         virtual_end_us=machine.now,
         metrics={
             "goodput_rps": report.goodput_rps,
-            "ok": float(report.ok),
-            "late": float(report.late),
-            "failed": float(report.failed),
+            "ok": float(report.overall.ok),
+            "late": float(report.overall.late),
+            "failed": float(report.overall.failed),
         },
         report=report.render(),
+    )
+    if measure == "goodput":
+        result.unit, result.higher_is_better = "rps", True
+        result.samples = [report.goodput_rps]
+    else:
+        agg = critpath.aggregate(telemetry, "serve.request", top=0)
+        result.attribution, result.ops = agg.components, agg.count
+    return result
+
+
+def _run_app(spec) -> FleetResult:
+    from ..apps.base import run_app
+    from ..study.suite import spec as app_spec
+
+    _require_defaults(spec, nodes_free=True)
+    app = app_spec(str(spec.param("app")))
+    machine = _machine(spec, spec.nodes, params=app.params)
+    mode = str(spec.param("mode", app.best_mode))
+    run = run_app(app.factory(mode), spec.nodes, machine=machine)
+    agg = critpath.aggregate(machine.telemetry, None, top=0)
+    return FleetResult(
+        unit="us",
+        higher_is_better=False,
+        samples=[run.elapsed_us],
+        attribution=agg.components,
+        ops=agg.count,
+        telemetry=machine.telemetry,
+        monitor=machine.monitor,
+        virtual_end_us=machine.now,
+    )
+
+
+def _run_micro(spec) -> FleetResult:
+    """A section 4.1 microbenchmark: deterministic and seed-independent."""
+    from ..study import micro
+
+    _require_defaults(spec)
+    measure = spec.param("measure")
+    if measure not in _MICRO_MEASURES:
+        raise ValueError(
+            f"unknown micro measure {measure!r}; choose from {_MICRO_MEASURES}"
+        )
+    bandwidth = measure.endswith("_bandwidth")
+    return FleetResult(
+        unit="MB/s" if bandwidth else "us",
+        higher_is_better=bandwidth,
+        samples=[getattr(micro, measure)()],
     )
 
 
@@ -358,9 +494,10 @@ def _run_shard(spec) -> FleetResult:
 
 
 def _require_defaults(spec, *, nodes_free: bool = False) -> None:
-    """``bench:``/``study:``/``shard`` entry points own their machines: the
-    spec's platform/fault axes (and for ``bench:`` the node count) must stay
-    at their defaults rather than being silently ignored."""
+    """Workloads that fix their own machine shape (``bench:``, ``study:``,
+    ``app``, ``micro``, ``serve``, ``shard``): the spec's platform/fault axes (and
+    unless ``nodes_free`` the node count) must stay at their defaults
+    rather than being silently ignored."""
     from .catalog import ExperimentSpec
 
     if spec.platform != "shrimp" or spec.fault_plan != "none":
@@ -377,22 +514,13 @@ def _require_defaults(spec, *, nodes_free: bool = False) -> None:
 
 
 def _run_bench(spec) -> FleetResult:
-    from ..bench.core import REGISTRY, select
+    """A named bench entry's spec, run at this spec's seed."""
+    from ..bench.core import select
 
     _require_defaults(spec)
-    name = spec.workload.split(":", 1)[1]
-    select([name])  # populates REGISTRY and validates the name
-    bench_spec = REGISTRY[name]
-    run = bench_spec.runner(spec.seed)
-    if not run.samples:
-        raise RuntimeError(f"benchmark {name} produced no samples")
-    return FleetResult(
-        unit=bench_spec.unit,
-        higher_is_better=bench_spec.higher_is_better,
-        samples=list(run.samples),
-        attribution=run.attribution,
-        ops=run.ops,
-    )
+    (entry,) = select([spec.workload.split(":", 1)[1]])
+    bench_spec = replace(entry.spec, seed=spec.seed)
+    return resolve_workload(bench_spec.workload).run(bench_spec)
 
 
 def _run_study(spec) -> FleetResult:
@@ -417,41 +545,43 @@ def _run_study(spec) -> FleetResult:
 
 #: Directly registered workloads (the ``bench:``/``study:`` prefixes are
 #: resolved dynamically against their own registries).
-WORKLOADS: Dict[str, FleetWorkload] = {}
-
-
-def _register(workload: FleetWorkload) -> None:
-    WORKLOADS[workload.name] = workload
-
-
-_register(
-    FleetWorkload(
-        "coll", "us", False,
-        "barrier latency: mode=nx|tree-host|tree-nic, ops=N",
-        _run_coll,
+WORKLOADS: Dict[str, FleetWorkload] = {
+    workload.name: workload
+    for workload in (
+        FleetWorkload(
+            "app",
+            "suite application elapsed time: app=NAME, mode=au|du",
+            _run_app,
+        ),
+        FleetWorkload(
+            "coll",
+            "collective latency: api=nx|coll, mode=nx|tree-host|tree-nic, "
+            "op=barrier|allreduce|bcast, ops=N",
+            _run_coll,
+        ),
+        FleetWorkload(
+            "micro",
+            "section 4.1 microbenchmark: measure=" + "|".join(_MICRO_MEASURES),
+            _run_micro,
+        ),
+        FleetWorkload(
+            "ping",
+            "(nodes-1)-to-1 vmmc sends: nbytes=N, ops=N, reliable=0|1",
+            _run_ping,
+        ),
+        FleetWorkload(
+            "serve",
+            "serving-tier request latency: balancer=..., arrivals=..., "
+            "rps=..., duration_us=..., measure=latency|goodput",
+            _run_serve,
+        ),
+        FleetWorkload(
+            "shard",
+            "large-mesh packet latency: pattern=..., duration_us=..., workers=N",
+            _run_shard,
+        ),
     )
-)
-_register(
-    FleetWorkload(
-        "ping", "us", False,
-        "(nodes-1)-to-1 vmmc sends: nbytes=N, ops=N, reliable=0|1",
-        _run_ping,
-    )
-)
-_register(
-    FleetWorkload(
-        "serve", "us", False,
-        "serving-tier request latency: balancer=..., rps=..., duration_us=...",
-        _run_serve,
-    )
-)
-_register(
-    FleetWorkload(
-        "shard", "us", False,
-        "large-mesh packet latency: pattern=..., duration_us=..., workers=N",
-        _run_shard,
-    )
-)
+}
 
 
 def resolve_workload(name: str) -> FleetWorkload:
@@ -460,13 +590,11 @@ def resolve_workload(name: str) -> FleetWorkload:
         return WORKLOADS[name]
     if name.startswith("bench:"):
         return FleetWorkload(
-            name, "?", False, "curated benchmark (see repro.bench)",
-            _run_bench,
+            name, "curated benchmark (see repro.bench)", _run_bench
         )
     if name.startswith("study:"):
         return FleetWorkload(
-            name, "report", False, "study family report (see repro.study)",
-            _run_study,
+            name, "study family report (see repro.study)", _run_study
         )
     raise ValueError(
         f"unknown workload {name!r}; registered: {sorted(WORKLOADS)}, "

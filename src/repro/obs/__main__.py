@@ -101,38 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scrape_seed(args, config: ObsConfig):
-    """A 4-node VMMC DU stream with metrics armed (the seed shape)."""
+    """The fleet stream program, 3 senders into node 0, metrics armed."""
+    from ..fleet.workloads import spawn_stream
     from ..node import Machine
-    from ..vmmc import VMMCRuntime
 
     machine = Machine(num_nodes=4, seed=args.seed)
     obs = machine.enable_obs(config)
-    vmmc = VMMCRuntime(machine)
-    receiver = vmmc.endpoint(machine.create_process(0))
-    nbytes = 1024
-    payload = (bytes(range(256)) * 4)[:nbytes]
     senders = machine.num_nodes - 1
-    per_sender = max(1, args.ops // senders)
-
-    def rx():
-        buffers = []
-        for s in range(senders):
-            buffer = yield from receiver.export(nbytes, name=f"obs.{s}")
-            buffers.append(buffer)
-        for buffer in buffers:
-            yield from receiver.wait_bytes(buffer, nbytes * per_sender)
-
-    def tx(s: int):
-        endpoint = vmmc.endpoint(machine.create_process(s + 1))
-        imported = yield from endpoint.import_buffer(f"obs.{s}")
-        src = endpoint.alloc(nbytes)
-        endpoint.poke(src, payload)
-        for _ in range(per_sender):
-            yield from endpoint.send(imported, src, nbytes, sync_delivered=True)
-
-    machine.sim.spawn(rx(), "obs.rx")
-    for s in range(senders):
-        machine.sim.spawn(tx(s), f"obs.tx{s}")
+    spawn_stream(machine, senders, nbytes=1024, ops=max(1, args.ops // senders))
     machine.sim.run()
     return obs
 

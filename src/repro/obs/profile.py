@@ -9,7 +9,7 @@ before any rewrite is justified.
 thread's current Python frame stack via ``sys._current_frames()`` at a
 fixed host interval and attributes the sample to a simulator **component**
 by walking the stack innermost-first until a frame's file path matches the
-component map (engine dispatch, nic, network, vmmc, serve, coll, app
+component map (engine dispatch, hardware, nic, network, vmmc, serve, coll, app
 libraries, telemetry).  Samples matching nothing land in ``other``, so the
 report's rows always sum to 100% of sampled time — no share is silently
 dropped.
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..study.report import format_table
 
-__all__ = ["SamplingProfiler", "classify_path", "COMPONENT_MAP"]
+__all__ = ["SamplingProfiler", "classify_path", "COMPONENT_MAP", "UNCLASSIFIED"]
 
 #: Innermost frame whose file path contains the fragment wins.  Order
 #: matters: more specific fragments come first.
@@ -42,7 +42,7 @@ COMPONENT_MAP: Tuple[Tuple[str, str], ...] = (
     ("repro/coll/", "coll"),
     ("repro/shard/", "shard"),
     ("repro/node/", "node"),
-    ("repro/nx/", "app"),
+    ("repro/hardware/", "hardware"),
     ("repro/msg/", "app"),
     ("repro/svm/", "app"),
     ("repro/apps/", "app"),
@@ -50,6 +50,11 @@ COMPONENT_MAP: Tuple[Tuple[str, str], ...] = (
     ("repro/monitor/", "monitor"),
     ("repro/obs/", "obs"),
 )
+
+#: Packages deliberately left out of the map: harnesses that drive runs
+#: (and fault plans, consulted by the network), whose frames attribute to
+#: the nearest classified frame on the stack.
+UNCLASSIFIED: Tuple[str, ...] = ("bench", "explore", "faults", "fleet", "study")
 
 
 def classify_path(path: str) -> Optional[str]:

@@ -29,11 +29,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..coll import CollConfig
-from ..msg import NXWorld
+from ..fleet.workloads import COLL_MODES, spawn_nx_coll
 from ..node import Machine
 from ..telemetry.critpath import aggregate
-from ..vmmc import VMMCRuntime
 from .report import format_table
 
 __all__ = [
@@ -44,53 +42,17 @@ __all__ = [
     "format_coll_study",
 ]
 
-DEFAULT_COLL_MODES = ("nx", "tree-host", "tree-nic")
+DEFAULT_COLL_MODES = tuple(COLL_MODES)
 DEFAULT_COLL_NODES = (4, 8, 16)
-
-_BARRIER_SPAN = {
-    "nx": "nx.gsync",
-    "tree-host": "coll.barrier",
-    "tree-nic": "coll.barrier",
-}
 
 
 def coll_cell(mode: str, nodes: int, ops: int = 8, seed: int = 1998) -> Dict:
     """One cell: ``ops`` barriers then ``ops`` allreduces on ``nodes`` ranks."""
-    if mode not in DEFAULT_COLL_MODES:
-        raise ValueError(f"unknown collectives mode {mode!r}")
     machine = Machine(num_nodes=nodes, seed=seed, telemetry=True)
-    vmmc = VMMCRuntime(machine)
-    coll = None
-    if mode == "tree-host":
-        coll = CollConfig(backend="host")
-    elif mode == "tree-nic":
-        coll = CollConfig(backend="nic")
-    world = NXWorld(vmmc, nodes, coll=coll)
-    marks: Dict[str, float] = {}
-
-    def worker(rank: int):
-        nx = yield from world.join(rank, machine.create_process(rank))
-        # Warmup barrier: absorbs the join rendezvous skew so the measured
-        # operations start from a common front.
-        yield from nx.gsync()
-        if rank == 0:
-            marks["start"] = machine.now
-        for _ in range(ops):
-            yield from nx.gsync()
-        if rank == 0:
-            marks["mid"] = machine.now
-        for i in range(ops):
-            yield from nx.allreduce(float(rank + i), lambda a, b: a + b,
-                                    name="sum")
-        if rank == 0:
-            marks["end"] = machine.now
-
-    for rank in range(nodes):
-        machine.sim.spawn(worker(rank), f"coll.study.r{rank}")
+    marks = spawn_nx_coll(machine, nodes, mode, ops, allreduces=ops)
     machine.sim.run()
 
-    tel = machine.telemetry
-    agg = aggregate(tel, _BARRIER_SPAN[mode], top=0)
+    agg = aggregate(machine.telemetry, COLL_MODES[mode][1], top=0)
     barrier_us = agg.total_us / agg.count if agg.count else 0.0
     return {
         "mode": mode,

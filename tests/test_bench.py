@@ -48,6 +48,9 @@ def test_registry_has_curated_set():
         "du_word_latency", "du_bulk_bandwidth", "du_ping_word",
         "du_fanin_4k", "rel_ping_lossy", "radix_vmmc_du",
     } <= set(REGISTRY)
+    from repro.bench.workloads import BENCHMARKS
+
+    assert len(REGISTRY) == len(BENCHMARKS)  # entry names are unique
 
 
 def test_select_quick_excludes_apps_and_validates_names():

@@ -301,3 +301,85 @@ def test_build_record_embeds_bench_schema_entry():
                 "min", "max", "p95"):
         assert key in entry, key
     assert "trace.json" in sidecars
+
+
+def test_stale_code_version_record_is_rerun_not_served(tmp_path):
+    store = RunStore(str(tmp_path / "runs"))
+    run_specs([SPEC_NX], store)
+    good = _record_bytes(store, SPEC_NX.fingerprint)
+    record = json.loads(good)
+    record["code_version"] = "0.0.0"
+    with open(store.record_path(SPEC_NX.fingerprint), "w",
+              encoding="utf-8") as fh:
+        json.dump(record, fh)
+    assert store.status(SPEC_NX) == "invalid"
+    with pytest.raises(StoreError, match="code version"):
+        store.load(SPEC_NX.fingerprint)
+    assert [o.status for o in run_specs([SPEC_NX], store)] == ["reran"]
+    assert _record_bytes(store, SPEC_NX.fingerprint) == good
+
+
+# -- the workload registry -----------------------------------------------
+
+
+def test_serve_workload_runs_through_execute_spec(tmp_path):
+    store = RunStore(str(tmp_path / "runs"))
+    spec = make_spec("serve", nodes=4, duration_us=1000.0)
+    execute_spec(spec, store)
+    record = store.load(spec.fingerprint)
+    assert record["metrics"]["ok"] > 0
+    assert record["bench"]["samples"]
+    assert store.artifact_path(record, "report")
+
+
+def test_bench_prefix_runs_the_entry_spec():
+    from repro.bench import REGISTRY
+
+    via_prefix = resolve_workload("bench:du_ping_word").run(
+        make_spec("bench:du_ping_word", seed=7)
+    )
+    entry_spec = REGISTRY["du_ping_word"].spec
+    direct = resolve_workload(entry_spec.workload).run(
+        make_spec("ping", seed=7, nodes=entry_spec.nodes,
+                  **dict(entry_spec.params))
+    )
+    assert via_prefix.samples == direct.samples
+    assert via_prefix.attribution == direct.attribution
+    with pytest.raises(ValueError, match="fixes its own machine"):
+        resolve_workload("bench:du_ping_word").run(
+            make_spec("bench:du_ping_word", nodes=4)
+        )
+
+
+def test_coll_workload_selects_program_by_api():
+    nx = resolve_workload("coll").run(SPEC_NX)
+    tree = resolve_workload("coll").run(
+        make_spec("coll", nodes=4, api="coll", mode="tree-nic",
+                  op="allreduce", ops=4)
+    )
+    # nx: warm-up barrier then 4 measured ops per rank; coll: no warm-up,
+    # so each rank's first measured op is the dropped cold one.
+    assert len(nx.samples) == 4 * 4
+    assert len(tree.samples) == 4 * 3
+    assert tree.metrics["coll_packets"] > 0
+    for bad in (
+        make_spec("coll", nodes=4, api="nx", op="bcast"),
+        make_spec("coll", nodes=4, api="coll", mode="nx"),
+        make_spec("coll", nodes=4, api="mpi"),
+        make_spec("coll", nodes=4, api="coll", op="scan"),
+    ):
+        with pytest.raises(ValueError):
+            resolve_workload("coll").run(bad)
+
+
+def test_app_and_micro_workloads():
+    app = resolve_workload("app").run(
+        make_spec("app", nodes=2, app="Radix-VMMC", mode="du")
+    )
+    assert len(app.samples) == 1 and app.ops > 0
+    bandwidth = resolve_workload("micro").run(
+        make_spec("micro", measure="du_bulk_bandwidth")
+    )
+    assert (bandwidth.unit, bandwidth.higher_is_better) == ("MB/s", True)
+    with pytest.raises(ValueError, match="measure"):
+        resolve_workload("micro").run(make_spec("micro", measure="nope"))

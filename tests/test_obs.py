@@ -198,6 +198,23 @@ def test_classify_path_maps_components():
     assert classify_path("/usr/lib/python3/threading.py") is None
 
 
+def test_every_package_is_classified_or_explicitly_excluded():
+    import os
+
+    import repro
+    from repro.obs.profile import COMPONENT_MAP, UNCLASSIFIED
+
+    root = os.path.dirname(repro.__file__)
+    packages = {
+        name for name in os.listdir(root)
+        if os.path.isfile(os.path.join(root, name, "__init__.py"))
+    }
+    mapped = {fragment.split("/")[1] for fragment, _ in COMPONENT_MAP}
+    assert mapped <= packages, f"dead entries: {mapped - packages}"
+    assert packages - mapped == set(UNCLASSIFIED)
+    assert classify_path("src/repro/hardware/memory.py") == "hardware"
+
+
 def test_profiler_attributes_a_perf_run():
     from repro.bench.perf import PERF_REGISTRY
 
