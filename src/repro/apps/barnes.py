@@ -14,17 +14,18 @@ sequential reference bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 __all__ = [
     "Body",
-    "OctreeNode",
+    "Octree",
     "make_bodies",
     "build_octree",
     "compute_force",
     "advance",
     "sequential_steps",
+    "check_reference",
     "CYCLES_PER_INTERACTION",
     "CYCLES_PER_BODY_BUILD",
 ]
@@ -53,38 +54,44 @@ class Body:
         return (self.x, self.y, self.z)
 
 
-@dataclass
-class OctreeNode:
-    """A cubic space cell: either a leaf holding one body or 8 children."""
+class Octree:
+    """A flat preorder octree: cell ``i``'s subtree is cells ``[i, end[i])``.
 
-    cx: float
-    cy: float
-    cz: float
-    half: float
-    body: Optional[Body] = None
-    children: Optional[List[Optional["OctreeNode"]]] = None
-    mass: float = 0.0
-    mx: float = 0.0  # mass-weighted position sums until finalized
-    my: float = 0.0
-    mz: float = 0.0
+    Each cell is one index into parallel lists: its total mass
+    (``masses``), its centre of mass (``xs``/``ys``/``zs``), ``size2`` =
+    ``(2.0 * half) ** 2`` for the opening test, its body if it is a leaf
+    (``leaf``, None for an inner cell) and the index where its subtree
+    ends (``end``).  Children follow their parent in octant order 0..7, so
+    stepping to ``i + 1`` opens a cell and jumping to ``end[i]`` skips it.
+    Cell 0 is the root; ``mass`` and ``mx``/``my``/``mz`` read its values.
+    """
+
+    __slots__ = ("masses", "xs", "ys", "zs", "size2", "leaf", "end")
+
+    def __init__(self) -> None:
+        self.masses: List[float] = []
+        self.xs: List[float] = []
+        self.ys: List[float] = []
+        self.zs: List[float] = []
+        self.size2: List[float] = []
+        self.leaf: List[Optional[Body]] = []
+        self.end: List[int] = []
 
     @property
-    def is_leaf(self) -> bool:
-        return self.children is None
+    def mass(self) -> float:
+        return self.masses[0]
 
-    def octant(self, body: Body) -> int:
-        return (
-            (1 if body.x >= self.cx else 0)
-            | (2 if body.y >= self.cy else 0)
-            | (4 if body.z >= self.cz else 0)
-        )
+    @property
+    def mx(self) -> float:
+        return self.xs[0]
 
-    def child_cell(self, octant: int) -> "OctreeNode":
-        quarter = self.half / 2.0
-        cx = self.cx + (quarter if octant & 1 else -quarter)
-        cy = self.cy + (quarter if octant & 2 else -quarter)
-        cz = self.cz + (quarter if octant & 4 else -quarter)
-        return OctreeNode(cx, cy, cz, quarter)
+    @property
+    def my(self) -> float:
+        return self.ys[0]
+
+    @property
+    def mz(self) -> float:
+        return self.zs[0]
 
 
 def make_bodies(count: int, rng) -> List[Body]:
@@ -108,106 +115,134 @@ def make_bodies(count: int, rng) -> List[Body]:
     return bodies
 
 
-def _insert(node: OctreeNode, body: Body, depth: int = 0) -> int:
-    """Insert a body; returns the number of levels descended."""
-    if depth > _MAX_DEPTH:
-        # Coincident bodies: merge into the resident leaf.
-        resident = node.body
-        if resident is not None:
-            resident.mass += body.mass
-            return 1
-    if node.is_leaf and node.body is None:
-        node.body = body
-        return 1
-    if node.is_leaf:
-        resident = node.body
-        node.body = None
-        node.children = [None] * 8
-        levels = _insert_into_child(node, resident, depth)
-        return levels + _insert_into_child(node, body, depth)
-    return _insert_into_child(node, body, depth)
+def build_octree(bodies: List[Body]) -> Tuple[Octree, int]:
+    """Build the octree; returns (tree, total insertion levels).
 
-
-def _insert_into_child(node: OctreeNode, body: Body, depth: int) -> int:
-    octant = node.octant(body)
-    child = node.children[octant]
-    if child is None:
-        child = node.child_cell(octant)
-        node.children[octant] = child
-    return 1 + _insert(child, body, depth + 1)
-
-
-def _summarize(node: OctreeNode) -> None:
-    """Compute each cell's total mass and center of mass, bottom-up."""
-    if node.is_leaf:
-        body = node.body
-        if body is not None:
-            node.mass = body.mass
-            node.mx = body.x
-            node.my = body.y
-            node.mz = body.z
-        return
-    mass = wx = wy = wz = 0.0
-    for child in node.children:
-        if child is None:
-            continue
-        _summarize(child)
-        mass += child.mass
-        wx += child.mx * child.mass
-        wy += child.my * child.mass
-        wz += child.mz * child.mass
-    node.mass = mass
-    if mass > 0:
-        node.mx = wx / mass
-        node.my = wy / mass
-        node.mz = wz / mass
-
-
-def build_octree(bodies: List[Body]) -> Tuple[OctreeNode, int]:
-    """Build the octree; returns (root, total insertion levels)."""
+    The tree is the one that inserting the bodies one at a time, in list
+    order, would build, laid out in preorder.  That tree does not depend
+    on the order: a cell less than ``_MAX_DEPTH + 1`` levels deep splits
+    into octants exactly when two or more bodies fall in it, and a cell at
+    that depth keeps its bodies as one leaf (coincident bodies merge).  So
+    it is built top-down by partitioning the bodies among the octants.  A
+    merged leaf keeps its first body and holds the masses summed in list
+    order.  The levels are what the insertions descend: each body's depth
+    plus one, and one more for each inner cell, whose first body was
+    pushed down a level when the second arrived.  The input bodies are not
+    modified.
+    """
     if not bodies:
         raise ValueError("no bodies")
     span = max(
         max(abs(b.x), abs(b.y), abs(b.z)) for b in bodies
     )
-    root = OctreeNode(0.0, 0.0, 0.0, max(span * 1.01, 1.0))
+    tree = Octree()
+    masses, xs, ys, zs = tree.masses, tree.xs, tree.ys, tree.zs
+    size2, leaf, end = tree.size2, tree.leaf, tree.end
     levels = 0
-    for body in bodies:
-        levels += _insert(root, body, 0)
-    _summarize(root)
-    return root, levels
+
+    def emit(
+        members: List[Body], cx: float, cy: float, cz: float, half: float,
+        depth: int,
+    ) -> int:
+        """Append the subtree of the cell holding ``members``; returns its
+        index."""
+        nonlocal levels
+        i = len(masses)
+        size2.append((2.0 * half) ** 2)
+        end.append(0)
+        if len(members) == 1 or depth > _MAX_DEPTH:
+            first = members[0]
+            mass = first.mass
+            for other in members[1:]:
+                mass += other.mass
+            leaf.append(first)
+            masses.append(mass)
+            xs.append(first.x)
+            ys.append(first.y)
+            zs.append(first.z)
+            levels += len(members) * (depth + 1)
+        else:
+            leaf.append(None)
+            masses.append(0.0)
+            xs.append(0.0)
+            ys.append(0.0)
+            zs.append(0.0)
+            levels += 1
+            octants: List[List[Body]] = [[], [], [], [], [], [], [], []]
+            for b in members:
+                octants[
+                    (b.x >= cx) | ((b.y >= cy) << 1) | ((b.z >= cz) << 2)
+                ].append(b)
+            quarter = half / 2.0
+            mass = wx = wy = wz = 0.0
+            for octant, group in enumerate(octants):
+                if group:
+                    j = emit(
+                        group,
+                        cx + (quarter if octant & 1 else -quarter),
+                        cy + (quarter if octant & 2 else -quarter),
+                        cz + (quarter if octant & 4 else -quarter),
+                        quarter,
+                        depth + 1,
+                    )
+                    m = masses[j]
+                    mass += m
+                    wx += xs[j] * m
+                    wy += ys[j] * m
+                    wz += zs[j] * m
+            masses[i] = mass
+            if mass > 0:
+                xs[i] = wx / mass
+                ys[i] = wy / mass
+                zs[i] = wz / mass
+        end[i] = len(masses)
+        return i
+
+    emit(bodies, 0.0, 0.0, 0.0, max(span * 1.01, 1.0), 0)
+    return tree, levels
 
 
 def compute_force(
-    root: OctreeNode, body: Body, theta: float
+    tree: Octree, body: Body, theta: float
 ) -> Tuple[float, float, float, int]:
-    """Barnes-Hut force on ``body``; returns (fx, fy, fz, interactions)."""
+    """Barnes-Hut force on ``body``; returns (fx, fy, fz, interactions).
+
+    One forward pass over the preorder cells.  A leaf, or a cell far
+    enough away that ``size2 < theta**2 * dist2``, interacts and its
+    subtree is skipped; any other cell is opened.  Massless cells and the
+    body's own leaf are skipped without interacting.
+    """
+    masses, xs, ys, zs = tree.masses, tree.xs, tree.ys, tree.zs
+    size2, leaf, end = tree.size2, tree.leaf, tree.end
+    sqrt = math.sqrt
+    x, y, z = body.x, body.y, body.z
+    theta2 = theta * theta
     fx = fy = fz = 0.0
     interactions = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.mass == 0.0:
+    i = 0
+    n = len(masses)
+    while i < n:
+        mass = masses[i]
+        if mass == 0.0:
+            i = end[i]
             continue
-        dx = node.mx - body.x
-        dy = node.my - body.y
-        dz = node.mz - body.z
+        dx = xs[i] - x
+        dy = ys[i] - y
+        dz = zs[i] - z
         dist2 = dx * dx + dy * dy + dz * dz
-        if node.is_leaf or (2.0 * node.half) ** 2 < theta * theta * dist2:
-            if node.is_leaf and node.body is body:
+        resident = leaf[i]
+        if resident is not None or size2[i] < theta2 * dist2:
+            i = end[i]
+            if resident is body:
                 continue
             interactions += 1
-            inv = 1.0 / math.sqrt((dist2 + _EPS2) ** 3)
-            strength = _G * node.mass * inv
+            inv = 1.0 / sqrt((dist2 + _EPS2) ** 3)
+            strength = _G * mass * inv
             fx += strength * dx
             fy += strength * dy
             fz += strength * dz
         else:
-            # Push in reverse octant order so traversal order (and thus
-            # floating-point accumulation) is deterministic.
-            for child in reversed(node.children):
-                if child is not None:
-                    stack.append(child)
+            i += 1
     return fx, fy, fz, interactions
 
 
@@ -232,3 +267,22 @@ def sequential_steps(
         for body, (fx, fy, fz) in zip(sim, forces):
             advance(body, fx, fy, fz, dt)
     return sim
+
+
+def check_reference(
+    name: str,
+    final: List[float],
+    bodies: List[Body],
+    steps: int,
+    theta: float,
+    dt: float,
+) -> None:
+    """Raise unless ``final`` — (x, y, z, vx, vy, vz) per body — equals
+    :func:`sequential_steps` from ``bodies`` exactly."""
+    expected: List[float] = []
+    for b in sequential_steps(bodies, steps, theta, dt):
+        expected.extend((b.x, b.y, b.z, b.vx, b.vy, b.vz))
+    if final != expected:
+        bad = sum(1 for a, b in zip(final, expected) if a != b)
+        bad += abs(len(final) - len(expected))
+        raise AssertionError(f"{name} diverged from reference ({bad} values)")

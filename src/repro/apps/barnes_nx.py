@@ -23,9 +23,9 @@ from .barnes import (
     Body,
     advance,
     build_octree,
+    check_reference,
     compute_force,
     make_bodies,
-    sequential_steps,
 )
 
 __all__ = ["BarnesNX"]
@@ -159,9 +159,6 @@ class BarnesNX(Application):
         return nx.rank
 
     def validate(self) -> None:
-        reference = sequential_steps(self._bodies, self.steps, self.theta, self.dt)
-        expected: List[float] = []
-        for b in reference:
-            expected.extend((b.x, b.y, b.z, b.vx, b.vy, b.vz))
-        if self._final != expected:
-            raise AssertionError("Barnes-NX diverged from the reference")
+        check_reference(
+            self.name, self._final, self._bodies, self.steps, self.theta, self.dt
+        )

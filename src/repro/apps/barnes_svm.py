@@ -23,9 +23,9 @@ from .barnes import (
     Body,
     advance,
     build_octree,
+    check_reference,
     compute_force,
     make_bodies,
-    sequential_steps,
 )
 
 __all__ = ["BarnesSVM"]
@@ -129,10 +129,6 @@ class BarnesSVM(Application):
             self._final = yield from state.get_range(0, n * 6)
 
     def validate(self) -> None:
-        reference = sequential_steps(self._bodies, self.steps, self.theta, self.dt)
-        expected: List[float] = []
-        for b in reference:
-            expected.extend((b.x, b.y, b.z, b.vx, b.vy, b.vz))
-        if self._final != expected:
-            bad = sum(1 for a, b in zip(self._final, expected) if a != b)
-            raise AssertionError(f"Barnes-SVM diverged from reference ({bad} values)")
+        check_reference(
+            self.name, self._final, self._bodies, self.steps, self.theta, self.dt
+        )
