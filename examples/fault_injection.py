@@ -3,9 +3,10 @@
 
 Builds a 4-node SHRIMP machine with a deterministic fault plan that drops
 2 % of packets and corrupts another 0.5 %, then pushes a 128 KB deliberate
-update through a reliable VMMC channel.  The trace output shows each fault
-the plan injects and each go-back-N retransmission round the channel runs
-to repair it; the transfer still completes byte-exact.
+update through a reliable VMMC channel.  The trace lines (telemetry
+instants on the ``"trace"`` track) show each fault the plan injects and
+each go-back-N retransmission round the channel runs to repair it; the
+transfer still completes byte-exact.
 
 Run::
 
@@ -23,8 +24,9 @@ def main() -> None:
         seed=1998,
         fault_config=FaultConfig(drop_rate=0.02, corrupt_rate=0.005),
     )
-    # Trace only the fault injector and the retransmit machinery.
-    machine.tracer.enable(categories=["fault.", "vmmc.retx"])
+    # Telemetry records every trace line; it observes without changing
+    # what the simulated machine does.
+    telemetry = machine.enable_telemetry()
 
     vmmc = VMMCRuntime(machine)
     sim = machine.sim
@@ -55,8 +57,10 @@ def main() -> None:
     print(f"Transferred {NBYTES} bytes over a lossy fabric "
           f"(2% drops, 0.5% corruption) in {sim.now:.1f} us.\n")
     print("Injected faults and repairs:")
-    for event in machine.tracer.events:
-        print(" ", event)
+    for event in telemetry.instants():
+        if event.track == "trace" and event.name.startswith(("fault.", "vmmc.retx")):
+            print(f"  [{event.time:12.3f} us] n{event.node:<3d} "
+                  f"{event.name:<16s} {event.describe()}")
 
     stats = machine.stats
     channel = out["channel"]

@@ -21,9 +21,9 @@ Two kinds of decision live here:
 
 Injection sites (:mod:`repro.network.backplane`,
 :mod:`repro.nic.interface`) gate on ``plan is None`` exactly the way
-``Tracer`` gates on ``enabled``: when no plan is installed the hot paths
-pay one predicate check and nothing else, so a no-plan run is byte-for-byte
-identical to a build without the subsystem.
+telemetry sites gate on ``stats.telemetry``: when no plan is installed the
+hot paths pay one predicate check and nothing else, so a no-plan run is
+byte-for-byte identical to a build without the subsystem.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ perturb what the simulated hardware does, only what is recorded about it.
 Detectors, and where their observations come from:
 
 * **process stalls** — the engine's virtual-time tick
-  (:meth:`_time_tick`, driven from the run loop's heap branch) scans
+  (:meth:`tick`, driven from the run loop's heap branch) scans
   ``SimProcess._waiting_on``: a process parked on the *same* event past
   ``stall_timeout_us`` trips ``process_stall``.  Daemon service loops
   (spawned with ``daemon=True``) idle forever by design and are exempt.
@@ -98,8 +98,9 @@ class HealthMonitor:
 
     Create via :meth:`repro.node.machine.Machine.enable_monitor`; the
     constructor arms the telemetry collector (the flight recorder is a
-    telemetry sink) and installs itself as ``sim.monitor``.  Install
-    before the first ``sim.run()`` — the run loop hoists the handle.
+    telemetry sink), installs itself as ``sim.monitor`` (the layers'
+    ``note_*`` hook target) and joins ``sim.observers``.  Install before
+    the first ``sim.run()`` — the run loop hoists both.
     """
 
     def __init__(self, machine, config: Optional[MonitorConfig] = None):
@@ -131,9 +132,10 @@ class HealthMonitor:
         self._link_busy: Dict[Any, float] = {}
         self._link_hot: Dict[Any, int] = {}
         self._last_scan = self.sim.now
-        #: Next virtual time the run loop should call :meth:`_time_tick`.
-        self._next_check = self.sim.now + cfg.check_interval_us
+        #: Next virtual time the run loop should call :meth:`tick`.
+        self.next_tick = self.sim.now + cfg.check_interval_us
         machine.sim.monitor = self
+        machine.sim.observers.append(self)
 
     # -- status ----------------------------------------------------------
 
@@ -191,9 +193,9 @@ class HealthMonitor:
             self._livelock_ticks = 1
             self._unlatch("livelock", "scheduler")
 
-    def _time_tick(self, now: float, dispatched: int) -> None:
+    def tick(self, now: float, dispatched: int) -> None:
         """Virtual-time watchdog tick: runs the sampled scans."""
-        self._next_check = now + self.config.check_interval_us
+        self.next_tick = now + self.config.check_interval_us
         self._unlatch("livelock", "scheduler")
         self._scan_stalls(now)
         self._scan_fifos(now)

@@ -193,8 +193,7 @@ class ShrimpNIC:
             self.stats.count("fault.crash_tx_drops")
             return
         stats = self.stats
-        tracer = stats.tracer
-        if (tracer is not None and tracer.enabled) or stats.telemetry is not None:
+        if stats.telemetry is not None:
             # Guarded so the repr (a per-packet string build) is never
             # computed when nobody is listening.
             stats.trace("nic.tx", self.node_id, repr(packet))
@@ -362,8 +361,7 @@ class ShrimpNIC:
                 self._rx_bytes_counter = stats.counter("rx.bytes")
             rx_packets.add(fragments)
             self._rx_bytes_counter.add(data_bytes)
-            tracer = stats.tracer
-            if (tracer is not None and tracer.enabled) or stats.telemetry is not None:
+            if stats.telemetry is not None:
                 stats.trace("nic.rx", node_id, repr(packet))
             post_delivery(packet)
 

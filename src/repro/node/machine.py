@@ -87,11 +87,6 @@ class Machine:
         from ..sim.ids import reset_run_counters
 
         reset_run_counters()
-        from ..sim.trace import Tracer
-
-        #: Event tracer (disabled by default): machine.tracer.enable().
-        self.tracer = Tracer(lambda: self.sim.now)
-        self.stats.tracer = self.tracer
         self.rng = DeterministicRandom(seed)
         #: Named seed-derived RNG streams (see :class:`repro.sim.RngStreams`).
         #: Subsystems draw from their own labeled stream — e.g. serve traffic
@@ -183,7 +178,7 @@ class Machine:
             from ..obs import MetricsRegistry
 
             self.obs = MetricsRegistry(self, config)
-            self.sim.obs = self.obs
+            self.sim.observers.append(self.obs)
         return self.obs
 
     def install_fault_plan(self, plan) -> None:

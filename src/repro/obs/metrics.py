@@ -141,10 +141,10 @@ def _prom_name(name: str) -> str:
 class MetricsRegistry:
     """Run-scoped probe set for one machine, sampled by the run loop.
 
-    The engine calls :meth:`_sample_tick` from the heap branch whenever
-    the clock crosses ``_next_sample`` — the same shape as the health
-    monitor's ``_time_tick``, and with the same guarantee: a pure
-    observer that cannot perturb the schedule.
+    One of the engine's ``sim.observers``: the heap branch calls
+    :meth:`tick` whenever the clock crosses ``next_tick`` — the same hook
+    the health monitor uses, and with the same guarantee: a pure observer
+    that cannot perturb the schedule.
     """
 
     def __init__(self, machine, config: Optional[ObsConfig] = None):
@@ -155,7 +155,7 @@ class MetricsRegistry:
         self._probes: List[Tuple[str, Callable[[], float]]] = []
         self.samples_taken = 0
         #: Engine hook: next virtual time at which to sample.
-        self._next_sample = self.config.cadence_us
+        self.next_tick = self.config.cadence_us
         self._jsonl_fh = None
         if self.config.jsonl_path is not None:
             from ..telemetry.export import ensure_parent_dir
@@ -259,7 +259,7 @@ class MetricsRegistry:
 
     # -- sampling ---------------------------------------------------------
 
-    def _sample_tick(self, now: float) -> None:
+    def tick(self, now: float, dispatched: int) -> None:
         """Engine hook: sample every probe at virtual time ``now``."""
         self.samples_taken += 1
         fh = self._jsonl_fh
@@ -275,7 +275,7 @@ class MetricsRegistry:
         # Align the next mark to the cadence grid past ``now`` so idle
         # gaps are skipped wholesale instead of replayed tick by tick.
         cadence = self.config.cadence_us
-        self._next_sample = (math.floor(now / cadence) + 1.0) * cadence
+        self.next_tick = (math.floor(now / cadence) + 1.0) * cadence
 
     def sample_now(self) -> None:
         """Take one explicit sample at the machine's current time.
@@ -283,7 +283,7 @@ class MetricsRegistry:
         Useful after a run drains, so the final counter values are on
         the series even if the last event landed between cadence marks.
         """
-        self._sample_tick(self.machine.sim.now)
+        self.tick(self.machine.sim.now, 0)
 
     def close(self) -> None:
         """Flush and close the JSONL stream (idempotent)."""

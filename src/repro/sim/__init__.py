@@ -3,7 +3,6 @@
 from .engine import Event, Interrupted, SimProcess, SimulationError, Simulator, Timeout
 from .resources import Queue, Resource, Signal
 from .rng import DeterministicRandom, RngStreams, derive_seed, named_stream
-from .trace import TraceEvent, Tracer
 from .stats import (
     BREAKDOWN_CATEGORIES,
     Accumulator,
@@ -31,6 +30,4 @@ __all__ = [
     "Accumulator",
     "TimeBreakdown",
     "BREAKDOWN_CATEGORIES",
-    "Tracer",
-    "TraceEvent",
 ]

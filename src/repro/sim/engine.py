@@ -13,7 +13,8 @@ simulator and is resumed when the request completes:
 ``yield dt`` (a bare float)
     shorthand for ``Timeout(dt)`` with no resume value; the hot-path form
     used when the delay is computed fresh per packet, since it schedules
-    without allocating a request object.
+    without allocating a request object.  Like ``Timeout``, a negative or
+    NaN delay is an error, thrown back into the process.
 
 ``yield event`` (an :class:`Event`)
     resume when the event is triggered; the ``yield`` evaluates to the
@@ -58,6 +59,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 _heappush = heapq.heappush
+_INF = float("inf")
 
 __all__ = [
     "Simulator",
@@ -94,8 +96,8 @@ class Timeout:
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN timeout: {delay}")
         self.delay = delay
         self.value = value
 
@@ -291,14 +293,16 @@ class Simulator:
         self.current: Optional[SimProcess] = None
         #: Installed by Machine.enable_telemetry; None costs one predicate.
         self.telemetry = None
-        #: Installed by Machine.enable_monitor; None costs one predicate on
-        #: the run loop's heap branch and per 16 K immediate dispatches.
-        #: Must be installed before ``run`` is entered (the loop hoists it).
+        #: Installed by Machine.enable_monitor: the layers' ``note_*`` hook
+        #: target and the loop's livelock sentinel (one predicate per 16 K
+        #: immediate dispatches).  Install before ``run`` is entered.
         self.monitor = None
-        #: Installed by Machine.enable_obs; None costs one predicate on the
-        #: heap branch.  Like the monitor, a pure observer hoisted by the
-        #: run loop: install before ``run`` is entered.
-        self.obs = None
+        #: Virtual-time observers (the health monitor, the metrics
+        #: registry): each has a ``next_tick`` deadline and a
+        #: ``tick(now, dispatched)`` method the heap branch calls once the
+        #: clock reaches it.  Pure observers: a tick reads state, never
+        #: schedules.  The loop hoists the list, so append before ``run``.
+        self.observers: list = []
         #: Every spawned process, pruned of finished ones as it grows; the
         #: registry is what lets deadlock reports and the health monitor
         #: enumerate still-blocked processes.
@@ -309,8 +313,8 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` microseconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay: {delay}")
         heapq.heappush(
             self._queue, (self.now + delay, next(self._seq), fn, None, None, None)
         )
@@ -350,199 +354,126 @@ class Simulator:
     def _schedule_throw(self, proc: SimProcess, exc: BaseException) -> None:
         self._immediate.append((next(self._seq), proc, None, exc))
 
-    def _step(self, proc: SimProcess, value: Any, exc: Optional[BaseException]) -> None:
-        if proc.done:
-            return
-        self.current = proc
-        try:
-            if exc is not None:
-                request = proc.gen.throw(exc)
-            else:
-                request = proc._send(value)
-        except StopIteration as stop:
-            proc._finish(stop.value)
-            return
-        finally:
-            self.current = None
-        # Exact-type dispatch: the request classes are final in practice,
-        # so one identity check replaces the isinstance chain; subclasses
-        # (if any) fall through to the generic path.  A bare float is the
-        # allocation-free spelling of ``Timeout(delay)`` (resume value
-        # None), for hot paths that compute a fresh delay per packet.
-        cls = request.__class__
-        if cls is Timeout:
-            _heappush(
-                self._queue,
-                (
-                    self.now + request.delay,
-                    next(self._seq),
-                    None,
-                    proc,
-                    request.value,
-                    None,
-                ),
-            )
-        elif cls is float:
-            _heappush(
-                self._queue,
-                (self.now + request, next(self._seq), None, proc, None, None),
-            )
-        elif cls is Event:
-            proc._waiting_on = request
-            request._add_waiter(proc)
-        elif cls is SimProcess:
-            request._add_joiner(proc)
-        else:
-            self._dispatch(proc, request)
-
     def _dispatch(self, proc: SimProcess, request: Any) -> None:
-        """Generic (subclass-tolerant) request dispatch; the error path."""
-        if request.__class__ is float:
+        """Generic (subclass-tolerant) request dispatch; the error path.
+
+        An unsupported request is thrown back into the process as a
+        :class:`SimulationError`; whatever the process yields next is
+        dispatched the same way, until one request is accepted or the
+        process finishes.
+        """
+        while True:
+            cls = request.__class__
             # Strictly ``float``: ints (and bools) stay errors, so a stray
             # ``yield count`` fails loudly instead of silently sleeping.
+            if cls is float and request >= 0.0:
+                delay, value = request, None
+            elif isinstance(request, Timeout):
+                delay, value = request.delay, request.value
+            elif isinstance(request, Event):
+                proc._waiting_on = request
+                request._add_waiter(proc)
+                return
+            elif isinstance(request, SimProcess):
+                request._add_joiner(proc)
+                return
+            else:
+                problem = "invalid delay" if cls is float else "unsupported request"
+                exc = SimulationError(
+                    f"process {proc.name!r} yielded {problem}: {request!r}"
+                )
+                self.current = proc
+                try:
+                    request = proc.gen.throw(exc)
+                except StopIteration as stop:
+                    proc._finish(stop.value)
+                    return
+                finally:
+                    self.current = None
+                continue
             heapq.heappush(
                 self._queue,
-                (self.now + request, next(self._seq), None, proc, None, None),
+                (self.now + delay, next(self._seq), None, proc, value, None),
             )
-        elif isinstance(request, Timeout):
-            heapq.heappush(
-                self._queue,
-                (
-                    self.now + request.delay,
-                    next(self._seq),
-                    None,
-                    proc,
-                    request.value,
-                    None,
-                ),
-            )
-        elif isinstance(request, Event):
-            proc._waiting_on = request
-            request._add_waiter(proc)
-        elif isinstance(request, SimProcess):
-            request._add_joiner(proc)
-        else:
-            exc = SimulationError(
-                f"process {proc.name!r} yielded unsupported request: {request!r}"
-            )
-            self._step(proc, None, exc)
+            return
 
     # -- running ---------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queues drain or the clock passes ``until``.
 
-        Returns the simulation time at which the run stopped.
+        Returns the simulation time at which the run stopped.  ``until``
+        earlier than the current time is an error: the clock never moves
+        backwards.
         """
+        if until is not None and not until >= self.now:
+            raise SimulationError(
+                f"run(until={until!r}) is before the current time {self.now!r}"
+            )
         self._stopped = False
         immediate = self._immediate
         queue = self._queue
-        step = self._step
         pop = heapq.heappop
         popleft = immediate.popleft
         seq_counter = self._seq
-        # Health monitor and metrics registry, hoisted like the queues:
-        # None costs one local check on the heap branch (and, for the
-        # monitor, one per 16 K immediate dispatches).
+        # The monitor's livelock sentinel and the virtual-time observers,
+        # hoisted like the queues: with none installed the heap branch pays
+        # one float comparison against an infinite deadline.
         monitor = self.monitor
-        obs = self.obs
+        observers = self.observers
+        next_tick = min([o.next_tick for o in observers], default=_INF)
         dispatched = 0
         # Local mirror of the clock: only this loop ever writes ``self.now``,
         # so the mirror is kept exact by updating both together.
         now = self.now
         try:
             while not self._stopped:
+                # Select the next record; both branches fall through to the
+                # one resume-and-dispatch body below.
                 if immediate:
                     # Heap entries already due *now* with an older seq must
                     # run first to preserve the global (time, seq) order.
-                    if queue:
-                        head = queue[0]
-                        if head[0] <= now and head[1] < immediate[0][0]:
-                            _time, _seq, fn, proc, value, exc = pop(queue)
-                            dispatched += 1
-                            if fn is not None:
-                                fn()
-                            else:
-                                step(proc, value, exc)
+                    if queue and queue[0][0] <= now and queue[0][1] < immediate[0][0]:
+                        _time, _seq, fn, proc, value, exc = pop(queue)
+                        dispatched += 1
+                        if fn is not None:
+                            fn()
                             continue
-                    _seq, proc, value, exc = popleft()
-                    dispatched += 1
-                    if monitor is not None and (dispatched & 16383) == 0:
-                        # Livelock sentinel: fires on dispatch count, so a
-                        # storm spinning at one instant (which never pops
-                        # the heap) is still observed.
-                        monitor._event_tick(now, dispatched)
-                    # The step body is fused inline here (and in the heap
-                    # branch below): one Python call per event is a
-                    # measurable share of the loop at this event rate.
-                    if proc.done:
-                        continue
-                    self.current = proc
-                    try:
-                        if exc is not None:
-                            request = proc.gen.throw(exc)
-                        else:
-                            request = proc._send(value)
-                    except StopIteration as stop:
-                        proc._finish(stop.value)
-                        self.current = None
-                        continue
-                    self.current = None
-                    cls = request.__class__
-                    if cls is Timeout:
-                        _heappush(
-                            queue,
-                            (
-                                now + request.delay,
-                                next(seq_counter),
-                                None,
-                                proc,
-                                request.value,
-                                None,
-                            ),
-                        )
-                    elif cls is float:
-                        # Bare-float delay: Timeout(delay) without the
-                        # request object.
-                        _heappush(
-                            queue,
-                            (now + request, next(seq_counter), None, proc, None, None),
-                        )
-                    elif cls is Event:
-                        proc._waiting_on = request
-                        # Inlined _add_waiter fast path (untriggered, no
-                        # tombstone for this proc): just append.
-                        if request._triggered or request._discarded:
-                            request._add_waiter(proc)
-                        else:
-                            request._waiters.append(proc)
-                    elif cls is SimProcess:
-                        request._add_joiner(proc)
                     else:
-                        self._dispatch(proc, request)
-                    continue
-                if not queue:
-                    break
-                time = queue[0][0]
-                if until is not None and time > until:
-                    self.now = until
-                    return self.now
-                _time, _seq, fn, proc, value, exc = pop(queue)
-                if time < now:
-                    raise SimulationError("event queue went backwards in time")
-                self.now = now = time
-                dispatched += 1
-                if monitor is not None and time >= monitor._next_check:
-                    # Virtual-time watchdog tick: stall scans and sampled
-                    # invariant checks run here, outside virtual time.
-                    monitor._time_tick(time, dispatched)
-                if obs is not None and time >= obs._next_sample:
-                    # Metrics cadence tick: read-only probes sampled here,
-                    # outside virtual time, never touching the queues.
-                    obs._sample_tick(time)
-                if fn is not None:
-                    fn()
-                    continue
+                        _seq, proc, value, exc = popleft()
+                        dispatched += 1
+                        if monitor is not None and (dispatched & 16383) == 0:
+                            # Livelock sentinel: fires on dispatch count, so
+                            # a storm spinning at one instant (which never
+                            # pops the heap) is still observed.
+                            monitor._event_tick(now, dispatched)
+                else:
+                    if not queue:
+                        break
+                    time = queue[0][0]
+                    if until is not None and time > until:
+                        self.now = until
+                        return until
+                    _time, _seq, fn, proc, value, exc = pop(queue)
+                    if time < now:
+                        raise SimulationError("event queue went backwards in time")
+                    self.now = now = time
+                    dispatched += 1
+                    if time >= next_tick:
+                        # Observer tick (health watchdog, metrics cadence):
+                        # read-only work outside virtual time.
+                        for observer in observers:
+                            if time >= observer.next_tick:
+                                observer.tick(time, dispatched)
+                        next_tick = min(
+                            [o.next_tick for o in observers], default=_INF
+                        )
+                    if fn is not None:
+                        fn()
+                        continue
+                # The resume-and-dispatch body, fused inline: one Python
+                # call per event is a measurable share of the loop at this
+                # event rate.
                 if proc.done:
                     continue
                 self.current = proc
@@ -556,12 +487,16 @@ class Simulator:
                     self.current = None
                     continue
                 self.current = None
+                # Exact-type dispatch: the request classes are final in
+                # practice, so one identity check replaces the isinstance
+                # chain; anything else (subclasses, invalid delays, errors)
+                # goes to the generic ``_dispatch``.
                 cls = request.__class__
                 if cls is Timeout:
                     _heappush(
                         queue,
                         (
-                            time + request.delay,
+                            now + request.delay,
                             next(seq_counter),
                             None,
                             proc,
@@ -569,13 +504,17 @@ class Simulator:
                             None,
                         ),
                     )
-                elif cls is float:
+                elif cls is float and request >= 0.0:
+                    # Bare-float delay: Timeout(delay) without the request
+                    # object.  NaN and negative delays fail the comparison.
                     _heappush(
                         queue,
-                        (time + request, next(seq_counter), None, proc, None, None),
+                        (now + request, next(seq_counter), None, proc, None, None),
                     )
                 elif cls is Event:
                     proc._waiting_on = request
+                    # Inlined _add_waiter fast path (untriggered, no
+                    # tombstone for this proc): just append.
                     if request._triggered or request._discarded:
                         request._add_waiter(proc)
                     else:

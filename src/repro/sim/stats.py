@@ -107,17 +107,14 @@ class StatsRegistry:
         self.counters: Dict[str, Counter] = {}
         self.accumulators: Dict[str, Accumulator] = {}
         self.breakdowns: Dict[int, TimeBreakdown] = defaultdict(TimeBreakdown)
-        #: Optional event tracer (set by the Machine; see repro.sim.trace).
-        self.tracer = None
         #: Optional telemetry collector (set by Machine.enable_telemetry;
         #: see repro.telemetry).  Instrumented hot paths gate on this being
         #: None, so a run without telemetry pays one predicate per site.
         self.telemetry = None
 
     def trace(self, category: str, node: int, message: str) -> None:
-        """Emit a trace event when tracing is enabled (no-op otherwise)."""
-        if self.tracer is not None:
-            self.tracer.emit(category, node, message)
+        """Record a trace line as a telemetry instant on the ``"trace"``
+        track when telemetry is armed (no-op otherwise)."""
         if self.telemetry is not None:
             self.telemetry.instant(category, node, "trace", message=message)
 

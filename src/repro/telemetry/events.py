@@ -9,9 +9,6 @@ span id rides on the :class:`~repro.network.packet.Packet` across the
 backplane, and the remote NIC parents its receive span to the packet's.
 Reconstructing the tree afterwards needs no clock heuristics — only the
 explicit links.
-
-The module is intentionally dependency-free: :mod:`repro.sim.trace` builds
-its text tracer on top of these records without creating an import cycle.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ class TelemetryEvent:
         return self.name.split(".", 1)[0]
 
     def describe(self) -> str:
-        """A one-line text rendering (what the legacy tracer records)."""
+        """A one-line text rendering of the record's message or args."""
         message = self.args.get("message")
         if message is not None:
             return str(message)

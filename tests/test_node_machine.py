@@ -4,7 +4,6 @@ import pytest
 
 from repro import Machine, MachineParams, NICConfig
 from repro.node.machine import _mesh_for
-from repro.sim import Tracer
 
 
 # ---------------------------------------------------------------- machine --
@@ -112,59 +111,60 @@ def test_kernel_au_blocked_reflects_fifo():
 # ------------------------------------------------------------------ trace --
 
 def test_tracer_disabled_by_default_and_costs_nothing():
+    """Trace lines go to telemetry only; without it they are dropped."""
     machine = Machine(num_nodes=1)
+    assert machine.stats.telemetry is None
     machine.stats.trace("cat", 0, "msg")
-    assert machine.tracer.events == []
+    assert machine.telemetry is None
+
+
+def _trace_lines(machine):
+    return [e for e in machine.telemetry.instants() if e.track == "trace"]
 
 
 def test_tracer_records_when_enabled():
-    machine = Machine(num_nodes=1)
-    machine.tracer.enable()
+    machine = Machine(num_nodes=1, telemetry=True)
     machine.sim.schedule(3.0, lambda: machine.stats.trace("a.b", 0, "hello"))
     machine.sim.run()
-    assert len(machine.tracer.events) == 1
-    event = machine.tracer.events[0]
-    assert (event.time, event.category, event.message) == (3.0, "a.b", "hello")
-    assert "a.b" in str(event)
+    lines = _trace_lines(machine)
+    assert len(lines) == 1
+    event = lines[0]
+    assert (event.time, event.name, event.node) == (3.0, "a.b", 0)
+    assert event.describe() == "hello"
 
 
 def test_tracer_category_filter():
-    tracer = Tracer(lambda: 0.0)
-    tracer.enable(categories=["nic."])
-    tracer.emit("nic.tx", 0, "yes")
-    tracer.emit("svm.fault", 0, "no")
-    assert tracer.count() == 1
-    assert tracer.count("nic") == 1
+    machine = Machine(num_nodes=1, telemetry=True)
+    machine.stats.trace("nic.tx", 0, "yes")
+    machine.stats.trace("svm.fault", 0, "no")
+    assert [e.describe() for e in machine.telemetry.instants("nic.")] == ["yes"]
+    assert len(machine.telemetry.instants()) == 2
 
 
 def test_tracer_select_by_node_and_window():
-    clock = [0.0]
-    tracer = Tracer(lambda: clock[0])
-    tracer.enable()
+    machine = Machine(num_nodes=2, telemetry=True)
+    stats = machine.stats
     for t, node in ((1.0, 0), (2.0, 1), (3.0, 0)):
-        clock[0] = t
-        tracer.emit("x", node, f"at {t}")
-    assert len(tracer.select(node=0)) == 2
-    assert len(tracer.select(since=1.5, until=2.5)) == 1
-    assert "at 2.0" in tracer.dump(node=1)
+        machine.sim.schedule(t, lambda t=t, node=node: stats.trace("x", node, f"at {t}"))
+    machine.sim.run()
+    lines = _trace_lines(machine)
+    assert [e.time for e in lines if e.node == 0] == [1.0, 3.0]
+    assert [e.describe() for e in lines if 1.5 <= e.time <= 2.5] == ["at 2.0"]
 
 
 def test_tracer_limit_drops_overflow():
-    tracer = Tracer(lambda: 0.0, limit=3)
-    tracer.enable()
+    machine = Machine(num_nodes=1)
+    telemetry = machine.enable_telemetry(limit=3)
     for i in range(5):
-        tracer.emit("x", 0, str(i))
-    assert len(tracer.events) == 3
-    assert tracer.dropped == 2
-    tracer.clear()
-    assert tracer.events == [] and tracer.dropped == 0
+        machine.stats.trace("x", 0, str(i))
+    assert [e.describe() for e in telemetry.events] == ["0", "1", "2"]
+    assert telemetry.dropped == 2
 
 
 def test_machine_tracing_captures_nic_traffic():
     from repro import VMMCRuntime
 
-    machine = Machine(num_nodes=2)
-    machine.tracer.enable(categories=["nic."])
+    machine = Machine(num_nodes=2, telemetry=True)
     runtime = VMMCRuntime(machine)
     tx = runtime.endpoint(machine.create_process(0))
     rx = runtime.endpoint(machine.create_process(1))
@@ -181,8 +181,9 @@ def test_machine_tracing_captures_nic_traffic():
     machine.sim.spawn(receiver(), "r")
     machine.sim.spawn(sender(), "s")
     machine.sim.run()
-    assert machine.tracer.count("nic.tx") >= 1
-    assert machine.tracer.count("nic.rx") >= 1
+    lines = _trace_lines(machine)
+    assert sum(e.name == "nic.tx" for e in lines) >= 1
+    assert sum(e.name == "nic.rx" for e in lines) >= 1
 
 
 def test_posted_store_tracking():

@@ -122,7 +122,7 @@ def test_enable_obs_is_idempotent():
     second = machine.enable_obs(ObsConfig(cadence_us=99.0))
     assert first is second
     assert first.config.cadence_us == 10.0
-    assert machine.sim.obs is first
+    assert machine.sim.observers == [first]
 
 
 def test_duplicate_probe_name_is_rejected():

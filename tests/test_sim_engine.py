@@ -224,6 +224,62 @@ def test_run_until_stops_clock():
     assert fired
 
 
+def test_run_until_in_the_past_is_rejected():
+    """The clock never moves backwards, even on request."""
+    sim = Simulator()
+    sim.schedule(20.0, lambda: None)
+    sim.run(until=12.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=5.0)
+    assert sim.now == 12.0
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert sim.run() == 20.0
+
+
+def test_infinite_timeout_is_accepted():
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(float("inf"))
+        return sim.now
+
+    assert sim.run_process(proc()) == float("inf")
+
+
+def test_nan_timeout_and_delay_rejected():
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        Timeout(nan)
+    with pytest.raises(SimulationError):
+        Simulator().schedule(nan, lambda: None)
+
+
+def test_negative_or_nan_bare_float_yield_raises_into_process():
+    """Rejected when yielded, even with a younger entry runnable at now."""
+    sim = Simulator()
+    gate = sim.event()
+    seen = []
+
+    def other():
+        yield gate
+        seen.append(("other", sim.now))
+
+    def proc():
+        yield 5.0
+        gate.succeed()  # queues a younger immediate resume at t=5
+        for bad in (-3.0, float("nan")):
+            with pytest.raises(SimulationError):
+                yield bad
+        yield 1.0
+        seen.append(("proc", sim.now))
+
+    sim.spawn(other())
+    sim.spawn(proc())
+    sim.run()
+    assert seen == [("other", 5.0), ("proc", 6.0)]
+
+
 def test_run_process_detects_deadlock():
     sim = Simulator()
     event = sim.event()
