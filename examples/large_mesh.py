@@ -73,7 +73,7 @@ def shard_parallel(spec, serial) -> None:
 
 def scaling_sweep() -> None:
     # CLI: python -m repro.shard scaling --nodes 64 --workers 1,2,4
-    #      python -m repro.bench perf --bench scaling_256_w1 ...
+    #      python -m repro.shard scaling --nodes 256 --workload transpose
     spec = spec_for_nodes(
         64, duration_us=60.0, record_deliveries=False
     )

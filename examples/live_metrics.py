@@ -121,12 +121,14 @@ def shard_progress() -> None:
 
 
 def host_profile() -> None:
-    # CLI: python -m repro.obs profile --bench du_ping
-    from repro.bench.perf import PERF_REGISTRY
+    # CLI: python -m repro.obs profile --matrix smoke
+    from repro.fleet import make_spec
+    from repro.fleet.workloads import resolve_workload
 
+    spec = make_spec("ping", nodes=4, ops=200)
     profiler = SamplingProfiler(interval_s=0.001)
     with profiler:
-        PERF_REGISTRY["du_ping"].runner(1000)
+        resolve_workload(spec.workload).run(spec)
     shares = ", ".join(
         f"{component} {100 * share:.0f}%"
         for component, share in list(profiler.attribution().items())[:4]

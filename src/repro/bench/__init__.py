@@ -7,17 +7,14 @@ critical-path attribution vectors from :mod:`repro.telemetry.critpath`);
 and detects regressions against a committed baseline with a paired
 bootstrap on the medians (DESIGN.md section 10).
 
-A separate **wall-clock throughput mode** (``python -m repro.bench perf``)
-measures how fast the simulator core executes on the host (events/sec,
-packets/sec); its host-dependent results go to ``PERF_<label>.json`` and
-are never mixed into the deterministic ``BENCH_*`` documents.
+How fast the simulator itself runs on the host is measured by the
+end-to-end benchmark in ``benchmarks/e2e``, never here.
 
 Quick start::
 
     python -m repro.bench run --label demo
     python -m repro.bench compare BENCH_demo.json \\
         benchmarks/baseline/BENCH_seed.json
-    python -m repro.bench perf --label local
 
 Programmatic::
 
@@ -41,18 +38,6 @@ from .core import (
     select,
     write_bench,
 )
-from .perf import (
-    PERF_REGISTRY,
-    PerfResult,
-    PerfSpec,
-    bootstrap_ci,
-    load_perf,
-    render_perf,
-    render_perf_comparison,
-    run_perf,
-    select_perf,
-    write_perf,
-)
 from .workloads import BenchEntry
 
 __all__ = [
@@ -68,14 +53,4 @@ __all__ = [
     "bootstrap_median_diff",
     "compare_docs",
     "render_comparison",
-    "PerfResult",
-    "PerfSpec",
-    "PERF_REGISTRY",
-    "select_perf",
-    "run_perf",
-    "bootstrap_ci",
-    "write_perf",
-    "load_perf",
-    "render_perf",
-    "render_perf_comparison",
 ]

@@ -1,13 +1,10 @@
-"""The continuous-benchmark CLI: ``python -m repro.bench run|compare|perf``.
+"""The continuous-benchmark CLI: ``python -m repro.bench run|compare``.
 
 ``run`` executes the curated benchmark set under telemetry and writes
 ``BENCH_<label>.json`` — latency samples, throughput, critical-path
 attribution vectors, and run metadata, all in virtual time (no wall-clock
 fields, so output is reproducible across machines).  ``compare`` performs
 paired-bootstrap regression detection against a baseline document.
-``perf`` is the wall-clock throughput mode: it measures the simulator
-core's events/sec and packets/sec on this host and writes the
-host-dependent results to a separate ``PERF_<label>.json``.
 
 Examples::
 
@@ -17,8 +14,6 @@ Examples::
         benchmarks/baseline/BENCH_seed.json
     python -m repro.bench compare BENCH_ci.json \\
         benchmarks/baseline/BENCH_seed.json --fail-on-regression
-    python -m repro.bench perf --label local
-    python -m repro.bench perf --label after --baseline PERF_before.json
 """
 
 from __future__ import annotations
@@ -28,13 +23,6 @@ import sys
 
 from .compare import compare_docs, comparison_to_json, render_comparison
 from .core import load_bench, render_summary, run_benchmarks, write_bench
-from .perf import (
-    load_perf,
-    render_perf,
-    render_perf_comparison,
-    run_perf,
-    write_perf,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,33 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the comparison (verdicts, deltas, CIs, "
         "attribution shifts) as machine-readable JSON to FILE",
     )
-
-    perf = commands.add_parser(
-        "perf",
-        help="wall-clock throughput mode: events/sec on this host "
-        "-> PERF_<label>.json",
-    )
-    perf.add_argument("--label", default="local", help="label (default: local)")
-    perf.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized scales (fewer operations per workload)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed repeats per workload; best is reported (default: 3)",
-    )
-    perf.add_argument(
-        "--bench", action="append", default=None, metavar="NAME",
-        help="run only NAME (repeatable)",
-    )
-    perf.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="output path (default: PERF_<label>.json in the cwd)",
-    )
-    perf.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="an earlier PERF_*.json; prints a before/after speedup table",
-    )
     return parser
 
 
@@ -177,30 +138,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    doc = run_perf(
-        args.label,
-        quick=args.quick,
-        repeats=args.repeats,
-        names=args.bench,
-        log=lambda line: print(line, file=sys.stderr),
-    )
-    path = args.out or f"PERF_{args.label}.json"
-    write_perf(doc, path)
-    print(render_perf(doc))
-    if args.baseline:
-        print()
-        print(render_perf_comparison(doc, load_perf(args.baseline)))
-    print(f"\nwrote {path}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
     return _cmd_compare(args)
 
 

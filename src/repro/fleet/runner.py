@@ -3,11 +3,13 @@
 ``run_specs`` takes a list of :class:`ExperimentSpec`, checks each
 against the store, and executes only the misses (and invalid records,
 which are re-run rather than served).  Execution happens either inline
-(``workers <= 1``) or on a ``multiprocessing`` pool — every worker runs
-the workload **in-process** via the existing study/bench entry points
-and writes its own ``runs/<fingerprint>/`` directory, so parallel
-workers never share mutable state and a 2-worker fan-out produces
-byte-identical records to a serial run (tested).
+(``workers <= 1``) or on a ``concurrent.futures`` process pool — every
+worker runs the workload **in-process** via the existing study/bench
+entry points and writes its own ``runs/<fingerprint>/`` directory, so
+parallel workers never share mutable state and a 2-worker fan-out
+produces byte-identical records to a serial run (tested).  A worker
+that dies outright (SIGKILL, the OOM killer) fails the specs that had
+not finished instead of wedging the run.
 
 The record document (``RunRecord``) embeds a ``BENCH_*``-schema stats
 entry built by :func:`repro.bench.core.make_entry`, which is what lets
@@ -119,56 +121,88 @@ def execute_spec(spec: ExperimentSpec, store: RunStore) -> str:
     return store.put(record, sidecars)
 
 
-def _pool_worker(args: Tuple[dict, str, object]) -> Tuple[str, Optional[str]]:
-    """Module-level so it pickles under both fork and spawn starts.
+def _pool_worker(spec_doc: dict, root: str, heartbeats) -> Optional[str]:
+    """Run one spec in a pool process; returns its traceback, or None.
 
+    Module-level so it pickles under both fork and spawn starts.
     ``heartbeats`` (a manager queue, or None) is the fleet's progress
-    side-channel: ``("start", fingerprint)`` before the workload runs,
-    ``("done", fingerprint, ok)`` after.  Run records never contain
-    wall-clock fields, so the heartbeat traffic cannot change a stored
-    byte — it only feeds the master's ticker.
+    side-channel: ``("start", fingerprint)`` before the workload runs.
+    Run records never contain wall-clock fields, so the heartbeat traffic
+    cannot change a stored byte — it only feeds the master's ticker.
     """
-    spec_doc, root, heartbeats = args
     spec = ExperimentSpec.from_json(spec_doc)
     if heartbeats is not None:
         heartbeats.put(("start", spec.fingerprint))
     try:
         execute_spec(spec, RunStore(root))
-        outcome = (spec.fingerprint, None)
     except Exception:  # noqa: BLE001 - reported per-spec by the caller
-        outcome = (spec.fingerprint, traceback.format_exc())
-    if heartbeats is not None:
-        heartbeats.put(("done", spec.fingerprint, outcome[1] is None))
-    return outcome
+        return traceback.format_exc()
+    return None
 
 
-def _drain_heartbeats(
-    heartbeats, progress, described: Dict[str, str],
-    statuses_at_send: Dict[str, str], wait_s: float = 0.0,
+def _run_pool(
+    pending: Sequence[Tuple[ExperimentSpec, str]],
+    store: RunStore,
+    workers: int,
+    progress: Optional[Callable[[Tuple], None]],
+    finished: Callable[[ExperimentSpec, str, Optional[str]], None],
 ) -> None:
-    """Forward queued worker heartbeats to the progress callback."""
-    import queue as _queue
+    """Run ``pending`` on ``workers`` processes; ``finished`` gets each end.
 
-    while True:
-        try:
-            if wait_s > 0.0:
-                event = heartbeats.get(timeout=wait_s)
+    One submit-and-wait loop: between completions it forwards the
+    workers' start heartbeats to ``progress``.  A worker that dies
+    breaks the pool, and every spec that had not finished then ends
+    with the ``BrokenProcessPool`` text as its error.  Records are
+    committed atomically by the worker that ran the spec, so a lost
+    spec leaves none behind.
+    """
+    # Imported here, so that ``import repro`` does not load the process
+    # pool's modules (about 1 MB resident) into every simulation.
+    import queue
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context()
+    manager = context.Manager() if progress is not None else None
+    heartbeats = manager.Queue() if manager is not None else None
+    described = {spec.fingerprint: spec.describe() for spec, _ in pending}
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        running = {}
+        for spec, status in pending:
+            try:
+                future = pool.submit(
+                    _pool_worker, spec.to_json(), store.root, heartbeats
+                )
+            except BrokenProcessPool as exc:  # broke while submitting
+                finished(spec, status, f"{type(exc).__name__}: {exc}")
             else:
-                event = heartbeats.get_nowait()
-        except _queue.Empty:
-            return
-        if event[0] == "start":
-            fingerprint = event[1]
-            progress(("start", fingerprint, described.get(fingerprint, "")))
-        else:
-            fingerprint, ok = event[1], event[2]
-            if not ok:
-                status = "error"
-            elif statuses_at_send.get(fingerprint) == "invalid":
-                status = "reran"
-            else:
-                status = "ran"
-            progress(("done", fingerprint, status))
+                running[future] = (spec, status)
+        while running:
+            done, _ = wait(
+                running,
+                timeout=None if heartbeats is None else 0.2,
+                return_when=FIRST_COMPLETED,
+            )
+            while heartbeats is not None:
+                try:
+                    _kind, fingerprint = heartbeats.get_nowait()
+                except queue.Empty:
+                    break
+                progress(("start", fingerprint, described[fingerprint]))
+            for future in done:
+                spec, status = running.pop(future)
+                try:
+                    error = future.result()
+                except BrokenProcessPool as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                finished(spec, status, error)
+    finally:
+        # Cancelled futures matter only when an exception (an interrupt)
+        # leaves the loop early: queued specs must not run on.
+        pool.shutdown(cancel_futures=True)
+        if manager is not None:
+            manager.shutdown()
 
 
 def run_specs(
@@ -188,10 +222,9 @@ def run_specs(
 
     ``progress``, when given, receives live ``("start", fingerprint,
     description)`` and ``("done", fingerprint, status)`` events — for
-    cache hits a lone ``done``/``"cached"`` — from the inline runner
-    directly, or relayed off a manager heartbeat queue the pool workers
-    feed.  The queue exists only when ``progress`` is set, so the
-    default pool path is untouched.
+    cache hits a lone ``done``/``"cached"``.  Pool workers relay their
+    ``start`` events over a manager heartbeat queue that exists only when
+    ``progress`` is set, so the default pool path is untouched.
     """
 
     def note(line: str) -> None:
@@ -218,74 +251,35 @@ def run_specs(
             pending.append((spec, status))
 
     errors: Dict[str, str] = {}
-    if pending:
-        if workers > 1:
-            context = multiprocessing.get_context()
-            manager = None
-            heartbeats = None
-            if progress is not None:
-                manager = context.Manager()
-                heartbeats = manager.Queue()
-            args = [
-                (spec.to_json(), store.root, heartbeats)
-                for spec, _status in pending
-            ]
-            try:
-                with context.Pool(processes=workers) as pool:
-                    if heartbeats is None:
-                        for fingerprint, error in pool.imap_unordered(
-                            _pool_worker, args
-                        ):
-                            if error is not None:
-                                errors[fingerprint] = error
-                    else:
-                        described = {
-                            spec.fingerprint: spec.describe()
-                            for spec, _status in pending
-                        }
-                        at_send = {
-                            spec.fingerprint: status
-                            for spec, status in pending
-                        }
-                        result = pool.map_async(_pool_worker, args)
-                        while not result.ready():
-                            _drain_heartbeats(
-                                heartbeats, progress, described,
-                                at_send, wait_s=0.2,
-                            )
-                        _drain_heartbeats(
-                            heartbeats, progress, described, at_send
-                        )
-                        for fingerprint, error in result.get():
-                            if error is not None:
-                                errors[fingerprint] = error
-            finally:
-                if manager is not None:
-                    manager.shutdown()
-        else:
-            for spec, status in pending:
-                if progress is not None:
-                    progress(("start", spec.fingerprint, spec.describe()))
-                try:
-                    execute_spec(spec, store)
-                except Exception:  # noqa: BLE001 - reported per-spec
-                    errors[spec.fingerprint] = traceback.format_exc()
-                if progress is not None:
-                    if spec.fingerprint in errors:
-                        done = "error"
-                    else:
-                        done = "reran" if status == "invalid" else "ran"
-                    progress(("done", spec.fingerprint, done))
+
+    def finished(
+        spec: ExperimentSpec, status: str, error: Optional[str]
+    ) -> None:
+        if error is not None:
+            errors[spec.fingerprint] = error
+        statuses[spec.fingerprint] = (
+            "error" if error is not None
+            else "reran" if status == "invalid" else "ran"
+        )
+        if progress is not None:
+            progress(("done", spec.fingerprint, statuses[spec.fingerprint]))
+
+    if workers > 1 and pending:
+        _run_pool(pending, store, workers, progress, finished)
+    else:
         for spec, status in pending:
-            if spec.fingerprint in errors:
-                statuses[spec.fingerprint] = "error"
-                note(f"{spec.fingerprint}  ERROR   {spec.describe()}")
-            else:
-                verb = "reran " if status == "invalid" else "ran   "
-                statuses[spec.fingerprint] = (
-                    "reran" if status == "invalid" else "ran"
-                )
-                note(f"{spec.fingerprint}  {verb} {spec.describe()}")
+            if progress is not None:
+                progress(("start", spec.fingerprint, spec.describe()))
+            try:
+                execute_spec(spec, store)
+                error = None
+            except Exception:  # noqa: BLE001 - reported per-spec
+                error = traceback.format_exc()
+            finished(spec, status, error)
+    verbs = {"error": "ERROR   ", "reran": "reran  ", "ran": "ran    "}
+    for spec, _status in pending:
+        verb = verbs[statuses[spec.fingerprint]]
+        note(f"{spec.fingerprint}  {verb}{spec.describe()}")
 
     return [
         RunOutcome(

@@ -4,9 +4,10 @@ Every workload maps an :class:`ExperimentSpec` to a :class:`FleetResult`
 (samples, attribution, telemetry, monitor, metrics, report).  The other
 experiment surfaces select from this registry instead of copying it:
 ``repro.bench`` suites are named specs run through
-:func:`resolve_workload`, and ``repro.bench perf``'s system family,
-``repro.obs scrape`` and ``repro.study coll`` call the same programs
-(:func:`spawn_stream`, :func:`spawn_nx_coll`) on machines they build.
+:func:`resolve_workload`, ``repro.obs profile`` runs catalog specs through
+it, and ``repro.obs scrape`` and ``repro.study coll`` call the same
+programs (:func:`spawn_stream`, :func:`spawn_nx_coll`) on machines they
+build.
 
 * ``app`` — a study-suite application (``app=NAME``, ``mode=au|du``);
   one sample, its elapsed time, attributing every top-level operation.

@@ -12,7 +12,7 @@ Four pillars (DESIGN.md section 17):
 * :class:`SamplingProfiler` — a host-time sampling profiler attributing
   the simulator's wall clock to its components;
 * the HTML evidence renderer (``python -m repro.obs html``) over the run
-  store, BENCH/PERF documents, metric series and monitor postmortems.
+  store, BENCH documents, metric series and monitor postmortems.
 
 Everything here observes and never schedules: obs-off runs are
 byte-identical to builds without the subsystem, and obs-on runs have an
@@ -26,7 +26,7 @@ from .metrics import (
     ObsConfig,
     RingSeries,
 )
-from .profile import COMPONENT_MAP, SamplingProfiler, classify_path
+from .profile import SamplingProfiler, classify_path
 from .progress import EpochProgress, FleetTicker, ShardProgressTicker
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_COUNTER_PROBES",
     "SamplingProfiler",
     "classify_path",
-    "COMPONENT_MAP",
     "EpochProgress",
     "ShardProgressTicker",
     "FleetTicker",

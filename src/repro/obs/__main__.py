@@ -7,15 +7,16 @@
 
       python -m repro.obs scrape --workload serve-chaos --jsonl obs.jsonl
 
-* ``html`` — render a run store, BENCH/PERF document, metrics export or
-  text report into one self-contained HTML page::
+* ``html`` — render a run store, BENCH document, metrics export or text
+  report into one self-contained HTML page::
 
       python -m repro.obs html runs --out report.html
 
-* ``profile`` — run a ``repro.bench perf`` workload under the sampling
-  profiler and print the component-attributed wall-clock table::
+* ``profile`` — run a fleet catalog's specs in-process under the sampling
+  profiler and print the component-attributed wall-clock table; nothing
+  is written to a run store::
 
-      python -m repro.obs profile --bench du_ping --quick
+      python -m repro.obs profile --matrix smoke
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     html.add_argument(
         "target",
-        help="runs-dir, BENCH_*/PERF_* json, obs series json/jsonl, "
+        help="runs-dir, BENCH_* json, obs series json/jsonl, "
         "or a text report",
     )
     html.add_argument(
@@ -76,19 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     profile = commands.add_parser(
-        "profile", help="wall-clock component attribution of a perf workload"
+        "profile", help="wall-clock component attribution of fleet specs"
     )
     profile.add_argument(
-        "--bench", default="du_ping",
-        help="repro.bench perf benchmark to profile (default: du_ping)",
-    )
-    profile.add_argument(
-        "--scale", type=int, default=None,
-        help="operation count (default: the benchmark's full scale)",
-    )
-    profile.add_argument(
-        "--quick", action="store_true",
-        help="use the benchmark's CI-sized quick scale",
+        "--matrix", default="smoke", metavar="CATALOG",
+        help="JSON catalog path or built-in fleet matrix name, as for "
+        "`python -m repro.fleet run --matrix` (default: smoke)",
     )
     profile.add_argument(
         "--interval-ms", type=float, default=2.0,
@@ -187,28 +181,21 @@ def _cmd_html(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from ..bench.perf import PERF_REGISTRY
+    from ..fleet.catalog import load_catalog
+    from ..fleet.workloads import resolve_workload
 
-    spec = PERF_REGISTRY.get(args.bench)
-    if spec is None:
-        print(
-            f"error: unknown perf benchmark {args.bench!r} "
-            f"(choose from {', '.join(sorted(PERF_REGISTRY))})",
-            file=sys.stderr,
-        )
-        return 2
-    scale = args.scale
-    if scale is None:
-        scale = spec.quick_scale if args.quick else spec.scale
+    catalog = load_catalog(args.matrix)
     profiler = SamplingProfiler(interval_s=args.interval_ms / 1000.0)
-    with profiler:
-        result = spec.runner(scale)
-    print(
-        f"{spec.name} scale={scale}: {result.events} events in "
-        f"{result.elapsed_s:.3f}s ({result.events_per_sec:,.0f} ev/s)"
-    )
+    for spec in catalog:
+        workload = resolve_workload(spec.workload)
+        with profiler:
+            result = workload.run(spec)
+        print(
+            f"{spec.describe()}: {len(result.samples)} samples, "
+            f"virtual end {result.virtual_end_us:.1f} us"
+        )
     print()
-    print(profiler.report(f"Wall-clock attribution: {spec.name}"))
+    print(profiler.report(f"Wall-clock attribution: {catalog.name}"))
     return 0
 
 

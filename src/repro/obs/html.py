@@ -7,8 +7,8 @@
   enough points, via the explorer's machine-readable trend rows),
   per-record sample series, monitor trips and postmortem links (a tripped
   chaos run names its dead link right in the report);
-* a **``BENCH_*`` / ``PERF_*`` JSON document** — the benchmark table with
-  per-entry sample charts and attribution;
+* a **``BENCH_*`` JSON document** — the benchmark table with per-entry
+  sample charts and attribution;
 * an **obs JSONL / series JSON export** — one time-series chart per
   recorded metric;
 * a **text report** (serve SLO report, monitor report) — verbatim.
@@ -394,26 +394,20 @@ def render_store_html(store) -> str:
 
 
 def render_bench_html(doc: Dict, source: str) -> str:
-    """A BENCH_* or PERF_* document as one page."""
-    kind = "Perf" if doc.get("kind") == "perf" else "Bench"
+    """A BENCH_* document as one page."""
     body = []
-    rows = []
-    for name, entry in sorted(doc.get("benchmarks", {}).items()):
-        stats = entry.get("stats") or entry
-        rows.append(
-            [
-                name,
-                entry.get("family", "-"),
-                len(entry.get("samples", stats.get("samples", []) or [])),
-                f"{stats['median']:.4g}" if "median" in stats else "-",
-                f"{stats['mean']:.4g}" if "mean" in stats else "-",
-                entry.get("unit", stats.get("unit", "?")),
-            ]
-        )
+    rows = [
+        [
+            name,
+            len(entry.get("samples", [])),
+            f"{entry['median']:.4g}" if "median" in entry else "-",
+            f"{entry['mean']:.4g}" if "mean" in entry else "-",
+            entry.get("unit", "?"),
+        ]
+        for name, entry in sorted(doc.get("benchmarks", {}).items())
+    ]
     body.append(f"<h2>Benchmarks ({len(rows)})</h2>")
-    body.append(
-        _table(["benchmark", "family", "n", "median", "mean", "unit"], rows)
-    )
+    body.append(_table(["benchmark", "n", "median", "mean", "unit"], rows))
     for name, entry in sorted(doc.get("benchmarks", {}).items()):
         section = []
         attribution = _attribution_table(entry)
@@ -427,7 +421,7 @@ def render_bench_html(doc: Dict, source: str) -> str:
             body.extend(section)
             body.append("</div>")
     label = doc.get("label", "?")
-    return _page(f"{kind} document: {label} ({source})", "".join(body))
+    return _page(f"Bench document: {label} ({source})", "".join(body))
 
 
 def render_series_html(doc: Dict, source: str) -> str:
@@ -503,7 +497,7 @@ def render_target(target: str) -> Tuple[str, str]:
         if "benchmarks" in doc:
             return "bench", render_bench_html(doc, target)
         raise ValueError(
-            f"{target}: unrecognized JSON document (want a BENCH_*/PERF_* "
+            f"{target}: unrecognized JSON document (want a BENCH_* "
             "doc with 'benchmarks' or an obs series doc with 'series')"
         )
     with open(target, "r", encoding="utf-8") as fh:

@@ -2,17 +2,18 @@
 
 Virtual-time telemetry answers where the simulated machine spends its
 microseconds; this module answers where the *simulator* spends its host
-seconds — the evidence ROADMAP item 4 (a compiled event-loop core) needs
-before any rewrite is justified.
+seconds.
 
 :class:`SamplingProfiler` runs a daemon thread that grabs the profiled
 thread's current Python frame stack via ``sys._current_frames()`` at a
 fixed host interval and attributes the sample to a simulator **component**
-by walking the stack innermost-first until a frame's file path matches the
-component map (engine dispatch, hardware, nic, network, vmmc, serve, coll, app
-libraries, telemetry).  Samples matching nothing land in ``other``, so the
-report's rows always sum to 100% of sampled time — no share is silently
-dropped.
+by walking the stack innermost-first until a frame's file lives in a
+``repro/<package>/`` directory.  The component is that package's name
+(``sim``, ``hardware``, ``node``, ``nic``, ``network``, ``vmmc``, ``msg``,
+``svm``, ``apps``, ``serve``, ...), the same layer names the end-to-end
+benchmark in ``benchmarks/e2e`` reports.  Samples matching nothing land in
+``other``, so the report's rows always sum to 100% of sampled time — no
+share is silently dropped.
 
 Pure stdlib, no signals (works off the main thread), and safe on any
 workload: the sampler only *reads* frames.  Typical overhead at the 2 ms
@@ -21,6 +22,7 @@ default interval is under 2%.
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time as _time
@@ -29,41 +31,28 @@ from typing import Dict, List, Optional, Tuple
 
 from ..study.report import format_table
 
-__all__ = ["SamplingProfiler", "classify_path", "COMPONENT_MAP", "UNCLASSIFIED"]
+__all__ = ["SamplingProfiler", "classify_path", "UNCLASSIFIED"]
 
-#: Innermost frame whose file path contains the fragment wins.  Order
-#: matters: more specific fragments come first.
-COMPONENT_MAP: Tuple[Tuple[str, str], ...] = (
-    ("repro/sim/", "engine"),
-    ("repro/nic/", "nic"),
-    ("repro/network/", "network"),
-    ("repro/vmmc/", "vmmc"),
-    ("repro/serve/", "serve"),
-    ("repro/coll/", "coll"),
-    ("repro/shard/", "shard"),
-    ("repro/node/", "node"),
-    ("repro/hardware/", "hardware"),
-    ("repro/msg/", "app"),
-    ("repro/svm/", "app"),
-    ("repro/apps/", "app"),
-    ("repro/telemetry/", "telemetry"),
-    ("repro/monitor/", "monitor"),
-    ("repro/obs/", "obs"),
-)
+#: Packages that are not components: the None-gated observers and fault
+#: plans the layers call into.  Their frames attribute to the nearest
+#: classified frame on the stack, so their cost is charged to the layer
+#: that called them, as ``benchmarks/e2e`` charges it.
+UNCLASSIFIED: Tuple[str, ...] = ("faults", "monitor", "obs", "telemetry")
 
-#: Packages deliberately left out of the map: harnesses that drive runs
-#: (and fault plans, consulted by the network), whose frames attribute to
-#: the nearest classified frame on the stack.
-UNCLASSIFIED: Tuple[str, ...] = ("bench", "explore", "faults", "fleet", "study")
+#: The directory holding the ``repro`` packages.
+_ROOT = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
 def classify_path(path: str) -> Optional[str]:
-    """The component a source path belongs to (None: not ours)."""
-    normalized = path.replace("\\", "/")
-    for fragment, component in COMPONENT_MAP:
-        if fragment in normalized:
-            return component
-    return None
+    """The component a source path belongs to (None: not ours).
+
+    A file inside ``repro/<package>/`` belongs to ``<package>`` unless
+    that package is in :data:`UNCLASSIFIED`.
+    """
+    if not path.startswith(_ROOT):
+        return None
+    package, sep, _rest = path[len(_ROOT):].partition(os.sep)
+    return package if sep and package not in UNCLASSIFIED else None
 
 
 class SamplingProfiler:
@@ -131,7 +120,9 @@ class SamplingProfiler:
         wait = self._stop.wait
         while not wait(self.interval_s):
             frame = sys._current_frames().get(target)
-            if frame is not None:
+            # A wake-up that won the GIL only once stop() began waiting
+            # would sample the profiler's own shutdown.
+            if frame is not None and not self._stop.is_set():
                 self._record(frame)
 
     def _record(self, frame) -> None:

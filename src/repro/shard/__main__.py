@@ -4,15 +4,15 @@
 ``verify`` runs the same spec both ways and hard-gates byte identity of
 the telemetry streams (the CI ``shard-smoke`` job); ``scaling`` sweeps
 node and worker counts and prints an events/s table with speedups over
-the serial run — wall-clock numbers, host-dependent by design, like
-``repro.bench perf``.
+the serial run — wall-clock numbers, host-dependent by design and never
+gated.
 
 Examples::
 
     python -m repro.shard run --nodes 256 --workers 4
     python -m repro.shard run --width 16 --height 4 --workload transpose
     python -m repro.shard verify --nodes 64 --workers 4
-    python -m repro.shard scaling --nodes 64,256 --workers 1,2,4
+    python -m repro.shard scaling --node-list 64,256 --workers 1,2,4
 """
 
 from __future__ import annotations

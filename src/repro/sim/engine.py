@@ -286,7 +286,8 @@ class Simulator:
         self._immediate: deque = deque()
         self._seq = itertools.count()
         self._stopped = False
-        #: Total scheduler dispatches executed (for the perf harness).
+        #: Total scheduler dispatches executed (``sim.events`` in the
+        #: end-to-end benchmark).
         self.events_processed: int = 0
         #: The process currently being stepped (None between steps); lets
         #: the telemetry collector attribute spans to their emitting process.

@@ -13,8 +13,14 @@ The load-bearing properties pinned here:
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import repro
 
 from repro.fleet import (
     BUILTIN_MATRICES,
@@ -276,6 +282,75 @@ def test_duplicate_specs_collapse_and_errors_are_reported(tmp_path):
     err = next(o for o in outcomes if o.status == "error")
     assert "no-such-workload" in err.error
     assert store.status(bogus) == "miss"  # nothing committed for the error
+
+
+_KILLED_WORKER = textwrap.dedent(
+    """
+    import json, os, signal, sys
+
+    from repro.fleet import RunStore, make_spec, run_specs
+    from repro.fleet.workloads import WORKLOADS, FleetWorkload
+
+    def die(spec):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    # The pool forks, so the workers inherit this registration.
+    WORKLOADS["die"] = FleetWorkload("die", "SIGKILLs its process", die)
+    killed = make_spec("die", nodes=4)
+    specs = [make_spec("coll", nodes=4, mode="nx", ops=4), killed]
+    report = []
+    for name, progress in (("plain", None), ("progress", [])):
+        store = RunStore(os.path.join(sys.argv[1], name))
+        outcomes = run_specs(
+            specs, store, workers=2,
+            progress=None if progress is None else progress.append,
+        )
+        report.append({
+            "fingerprints": [o.fingerprint for o in outcomes],
+            "statuses": [o.status for o in outcomes],
+            "killed_error": outcomes[1].error,
+            "killed_store_status": store.status(killed),
+            "killed_done": [
+                e[2] for e in (progress or [])
+                if e[0] == "done" and e[1] == killed.fingerprint
+            ],
+        })
+    print(json.dumps(report))
+    """
+)
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="the pool must fork to see the workload"
+)
+def test_killed_worker_fails_its_spec_instead_of_wedging_the_run(tmp_path):
+    # A workload that SIGKILLs its own pool worker.  run_specs runs in a
+    # child with a hard timeout, so a wedged pool fails this test rather
+    # than hanging the suite.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_WORKER, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("run_specs wedged after a pool worker was killed")
+    assert child.returncode == 0, err
+    killed = make_spec("die", nodes=4)
+    for run in json.loads(out.splitlines()[-1]):
+        # Outcome order is the input order; the killed spec is an error
+        # with the broken-pool text and committed no record.
+        assert run["fingerprints"][1] == killed.fingerprint
+        assert run["statuses"][1] == "error"
+        assert run["statuses"][0] in ("ran", "error")
+        assert "BrokenProcessPool" in run["killed_error"]
+        assert run["killed_store_status"] == "miss"
+    assert json.loads(out.splitlines()[-1])[1]["killed_done"] == ["error"]
 
 
 def test_fault_plan_runs_trip_the_monitor(tmp_path):

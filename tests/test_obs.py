@@ -189,38 +189,72 @@ def test_default_counter_probes_exist_in_the_stats_registry():
 # -- profiler ------------------------------------------------------------
 
 
+def _e2e_layers():
+    """The layer names ``benchmarks/e2e/layers.py`` reports."""
+    import importlib.util
+    import os
+
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "benchmarks", "e2e", "layers.py"
+    )
+    spec = importlib.util.spec_from_file_location("e2e_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def _repro_path(*parts):
+    import os
+
+    import repro
+
+    return os.path.join(os.path.dirname(repro.__file__), *parts)
+
+
 def test_classify_path_maps_components():
-    assert classify_path("src/repro/sim/engine.py") == "engine"
-    assert classify_path("src\\repro\\nic\\fifo.py") == "nic"
-    assert classify_path("src/repro/serve/cluster.py") == "serve"
-    # Foreign frames classify to None; the profiler buckets them as
-    # "other" only after the whole stack misses.
+    # A frame's component is its repro/<package>/ name.
+    assert classify_path(_repro_path("sim", "engine.py")) == "sim"
+    assert classify_path(_repro_path("nic", "fifo.py")) == "nic"
+    assert classify_path(_repro_path("serve", "cluster.py")) == "serve"
+    assert classify_path(_repro_path("fleet", "workloads.py")) == "fleet"
+    # Unclassified packages, files outside a package and foreign frames
+    # classify to None; the profiler buckets a sample as "other" only
+    # after the whole stack misses.
+    assert classify_path(_repro_path("telemetry", "spans.py")) is None
+    assert classify_path(_repro_path("__init__.py")) is None
+    assert classify_path("/x/repro/examples/quickstart.py") is None
     assert classify_path("/usr/lib/python3/threading.py") is None
 
 
 def test_every_package_is_classified_or_explicitly_excluded():
     import os
 
-    import repro
-    from repro.obs.profile import COMPONENT_MAP, UNCLASSIFIED
+    from repro.obs.profile import UNCLASSIFIED
 
-    root = os.path.dirname(repro.__file__)
+    root = _repro_path()
     packages = {
         name for name in os.listdir(root)
         if os.path.isfile(os.path.join(root, name, "__init__.py"))
     }
-    mapped = {fragment.split("/")[1] for fragment, _ in COMPONENT_MAP}
-    assert mapped <= packages, f"dead entries: {mapped - packages}"
-    assert packages - mapped == set(UNCLASSIFIED)
-    assert classify_path("src/repro/hardware/memory.py") == "hardware"
+    assert set(UNCLASSIFIED) <= packages, "dead UNCLASSIFIED entries"
+    components = set()
+    for package in packages:
+        found = classify_path(_repro_path(package, "module.py"))
+        assert found == (None if package in UNCLASSIFIED else package)
+        if found is not None:
+            components.add(found)
+    # One vocabulary: every e2e layer is a profiler component.
+    assert set(_e2e_layers()) <= components
 
 
 def test_profiler_attributes_a_perf_run():
-    from repro.bench.perf import PERF_REGISTRY
+    from repro.fleet import make_spec
+    from repro.fleet.workloads import resolve_workload
 
+    spec = make_spec("ping", nodes=4, ops=200)
     profiler = SamplingProfiler(interval_s=0.001)
     with profiler:
-        PERF_REGISTRY["du_ping"].runner(800)
+        resolve_workload(spec.workload).run(spec)
     assert profiler.total_samples >= 1
     attribution = profiler.attribution()
     assert attribution
@@ -231,6 +265,8 @@ def test_profiler_attributes_a_perf_run():
         share for comp, share in attribution.items() if comp != "other"
     )
     assert simulator >= 0.9
+    largest = max(attribution, key=attribution.get)
+    assert largest in _e2e_layers()
     report = profiler.report("t")
     assert "samples" in report
 
