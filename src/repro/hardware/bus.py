@@ -37,7 +37,7 @@ class MemoryBus:
     def queue_length(self) -> int:
         return self._resource.queue_length
 
-    def transfer_time(
+    def hold_us(
         self,
         nbytes: int,
         bandwidth: float = 0.0,
@@ -50,12 +50,43 @@ class MemoryBus:
         than the bus (e.g. EISA DMA); 0 means full memory-bus speed.
         ``transaction_us`` overrides the per-burst setup cost (EISA bursts
         cost more to arbitrate than native bus cycles).
+
+        The one spelling of the hold time: :meth:`transfer` and every
+        generator-free hold on the packet hot paths call it, so their
+        occupancies cannot drift apart.
         """
-        rate = self.params.memory_bus_bandwidth
-        if bandwidth:
-            rate = min(rate, bandwidth)
-        per_transaction = transaction_us or self.params.bus_transaction_us
-        return transactions * per_transaction + nbytes / rate
+        params = self.params
+        rate = params.memory_bus_bandwidth
+        if bandwidth and bandwidth < rate:
+            rate = bandwidth
+        return (
+            transactions * (transaction_us or params.bus_transaction_us)
+            + nbytes / rate
+        )
+
+    def try_hold(self) -> bool:
+        """Take the bus now if no other master holds it; False otherwise.
+
+        The uncontended start of a hold as one plain call, for hot loops
+        that would otherwise build a :meth:`transfer` generator per hold::
+
+            if bus.try_hold():
+                try:
+                    yield bus.hold_us(nbytes, bandwidth)
+                finally:
+                    bus.end_hold(nbytes)
+            else:
+                yield from bus.transfer(nbytes, bandwidth)
+
+        which makes the same grants, holds and releases as ``transfer``.
+        """
+        return self._resource.try_acquire()
+
+    def end_hold(self, nbytes: int, transactions: int = 1) -> None:
+        """End a hold: count its traffic and free the bus for the next master."""
+        self.bytes_transferred += nbytes
+        self.transactions += transactions
+        self._resource.release()
 
     def transfer(
         self,
@@ -68,22 +99,12 @@ class MemoryBus:
 
         Blocks while another master (CPU store stream or NIC DMA) holds it.
         """
-        resource = self._resource
-        if not resource.try_acquire():
-            yield from resource._acquire_wait()
+        if not self.try_hold():
+            yield from self._resource._acquire_wait()
         try:
-            params = self.params
-            rate = params.memory_bus_bandwidth
-            if bandwidth and bandwidth < rate:
-                rate = bandwidth
-            yield (
-                transactions * (transaction_us or params.bus_transaction_us)
-                + nbytes / rate
-            )
-            self.bytes_transferred += nbytes
-            self.transactions += transactions
+            yield self.hold_us(nbytes, bandwidth, transactions, transaction_us)
         finally:
-            resource.release()
+            self.end_hold(nbytes, transactions)
 
     def utilization(self, elapsed: float) -> float:
         return self._resource.utilization(elapsed)

@@ -91,12 +91,16 @@ class PhysicalMemory:
         return frame * self.page_size
 
     def read(self, addr: int, length: int) -> bytes:
-        self._check_range(addr, length)
-        return self.data[addr : addr + length]
+        end = addr + length
+        if addr < 0 or length < 0 or end > self.size:
+            self._check_range(addr, length)
+        return self.data[addr:end]
 
     def write(self, addr: int, payload: bytes) -> None:
-        self._check_range(addr, len(payload))
-        self.data[addr : addr + len(payload)] = payload
+        end = addr + len(payload)
+        if addr < 0 or end > self.size:
+            self._check_range(addr, len(payload))
+        self.data[addr:end] = payload
 
     def read_page(self, frame: int) -> bytes:
         base = self.frame_base(frame)

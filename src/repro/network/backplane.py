@@ -56,7 +56,10 @@ class Backplane:
             node: Resource(sim, capacity=1, name=f"eject{node}")
             for node in range(self.topology.num_nodes)
         }
-        self._receivers: List[Optional[Callable]] = [None] * self.topology.num_nodes
+        #: Per node: the NIC's (admit handler, try_admit) pair.
+        self._receivers: List[Optional[Tuple[Callable, Callable]]] = [
+            None
+        ] * self.topology.num_nodes
         self._link_bandwidth = params.link_bandwidth
         self.packets_delivered = 0
         self.bytes_delivered = 0
@@ -89,10 +92,16 @@ class Backplane:
     def num_nodes(self) -> int:
         return self.topology.num_nodes
 
-    def attach_receiver(self, node: int, handler) -> None:
-        """Register the NIC-side admit handler: a generator function taking
-        the packet, which may block while the incoming FIFO is full."""
-        self._receivers[node] = handler
+    def attach_receiver(self, node: int, handler, try_admit) -> None:
+        """Register the NIC-side admission for ``node``.
+
+        ``try_admit`` is a plain function that admits the packet and
+        returns True, or changes nothing and returns False when the
+        incoming FIFO is full; ``handler`` is a generator function taking
+        the packet, which then blocks until it is admitted.  An
+        uncontended admission costs one call, no generator round-trip.
+        """
+        self._receivers[node] = (handler, try_admit)
 
     def link(self, link_id: LinkId) -> Resource:
         return self._links[link_id]
@@ -165,7 +174,8 @@ class Backplane:
         if tel is None:
             # Hot path: no per-link timeline bookkeeping when telemetry is
             # off — acquisition order and timing are identical either way,
-            # and the held set is tracked by count instead of a list.
+            # the held set is tracked by count instead of a list, and
+            # ``_deliver`` is inlined (one generator frame fewer per packet).
             acquired = 0
             ejection_held = False
             try:
@@ -179,7 +189,10 @@ class Backplane:
                 yield base_latency + packet.size / self._link_bandwidth
                 if self.fault_plan is not None and self._faulted(packet, path):
                     return  # the worm vanished; held links release below
-                yield from self._deliver(packet)
+                handler, try_admit = self._receiver(packet.dst)
+                if not try_admit(packet):
+                    yield from handler(packet)
+                self._count_delivered(packet)
             finally:
                 if ejection_held:
                     for link in links:
@@ -252,16 +265,24 @@ class Backplane:
         return hops * self.params.router_hop_us + size / self.params.link_bandwidth
 
     def _deliver(self, packet: Packet) -> Generator:
-        """Hand the packet to the destination NIC's admit path.
+        """Hand the packet to the destination NIC's admission.
 
         The admit handler is a generator: it blocks while the NIC's
         incoming FIFO is full, which (because the caller still holds the
         worm's path) is what propagates backpressure into the mesh.
         """
-        handler = self._receivers[packet.dst]
-        if handler is None:
-            raise RuntimeError(f"no receiver attached at node {packet.dst}")
-        yield from handler(packet)
+        handler, try_admit = self._receiver(packet.dst)
+        if not try_admit(packet):
+            yield from handler(packet)
+        self._count_delivered(packet)
+
+    def _receiver(self, node: int) -> Tuple[Callable, Callable]:
+        receiver = self._receivers[node]
+        if receiver is None:
+            raise RuntimeError(f"no receiver attached at node {node}")
+        return receiver
+
+    def _count_delivered(self, packet: Packet) -> None:
         size = packet.size
         self.packets_delivered += 1
         self.bytes_delivered += size
@@ -269,5 +290,5 @@ class Backplane:
         if packets_counter is None:
             packets_counter = self._net_packets = self.stats.counter("net.packets")
             self._net_bytes = self.stats.counter("net.bytes")
-        packets_counter.add(1)
-        self._net_bytes.add(size)
+        packets_counter.value += 1
+        self._net_bytes.value += size

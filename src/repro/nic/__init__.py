@@ -1,6 +1,6 @@
 """The SHRIMP network interface model."""
 
-from .combining import CombiningEngine, PendingPacket
+from .combining import CombiningEngine
 from .config import DEFAULT_NIC_CONFIG, NICConfig
 from .dma import DeliberateUpdateEngine, TransferRequest
 from .fifo import FIFOOverflowError, OutgoingFIFO
@@ -20,7 +20,6 @@ __all__ = [
     "OutgoingFIFO",
     "FIFOOverflowError",
     "CombiningEngine",
-    "PendingPacket",
     "DeliberateUpdateEngine",
     "TransferRequest",
 ]

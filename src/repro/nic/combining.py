@@ -22,19 +22,25 @@ stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .._compat import slotted_dataclass
 from ..sim import Simulator
 from ..network import Packet, PacketKind
 from .opt import OPTEntry
 
-__all__ = ["CombiningEngine", "PendingPacket"]
+__all__ = ["CombiningEngine"]
 
 
-@dataclass
-class PendingPacket:
-    """A combined packet being accumulated."""
+@slotted_dataclass
+class _PendingPacket:
+    """A combined packet being accumulated.
+
+    ``end`` is one past the last byte, as a page offset: always
+    ``offset + len(data)``, kept as a field since the combining loop reads
+    it several times per write run.  Only :meth:`CombiningEngine.write_run`
+    builds and extends one, and ``_flush`` asserts the invariant.
+    """
 
     dst_node: int
     dst_frame: int
@@ -42,10 +48,7 @@ class PendingPacket:
     data: bytearray
     interrupt: bool
     generation: int
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.data)
+    end: int
 
 
 class CombiningEngine:
@@ -70,7 +73,7 @@ class CombiningEngine:
         self.combine_boundary = combine_boundary
         self.combine_timeout_us = combine_timeout_us
         self.force_off = force_off
-        self._pending: Optional[PendingPacket] = None
+        self._pending: Optional[_PendingPacket] = None
         self._generation = 0
         self.packets_emitted = 0
         self.stores_seen = 0
@@ -85,9 +88,11 @@ class CombiningEngine:
         bytes.  The run never crosses a page boundary (callers split at
         pages, as automatic-update bindings are page-aligned).
         """
-        if offset + len(data) > self.page_size:
+        size = len(data)
+        page_size = self.page_size
+        if offset + size > page_size:
             raise ValueError("write run crosses a page boundary")
-        nwords = max(1, len(data) // self.word_size)
+        nwords = size // self.word_size or 1
         self.stores_seen += nwords
 
         if self.force_off or not entry.combine:
@@ -95,61 +100,65 @@ class CombiningEngine:
             self._emit_uncombined(entry, offset, data, nwords)
             return
 
-        self._combine_run(entry, offset, data)
+        # Combine: extend the open packet while the run continues it, up to
+        # the next sub-page combining boundary or the page end.
+        dst_node = entry.dst_node
+        dst_frame = entry.dst_frame
+        boundary_bytes = self.combine_boundary
+        pos = 0
+        while pos < size:
+            run_offset = offset + pos
+            pending = self._pending
+            if (
+                pending is not None
+                and pending.end == run_offset
+                and pending.dst_frame == dst_frame
+                and pending.dst_node == dst_node
+            ):
+                self.stores_combined += 1
+            else:
+                if pending is not None:
+                    self._flush()
+                self._generation += 1
+                pending = self._pending = _PendingPacket(
+                    dst_node, dst_frame, run_offset, bytearray(),
+                    entry.interrupt, self._generation, run_offset,
+                )
+                self._arm_timer(pending.generation)
+            end = pending.end
+            boundary = (end // boundary_bytes + 1) * boundary_bytes
+            take = boundary - end
+            if take >= size - pos:
+                take = size - pos
+                pending.data += data if pos == 0 else data[pos:]
+            else:
+                pending.data += data[pos : pos + take]
+            pos += take
+            end += take
+            pending.end = end
+            if end >= boundary or end >= page_size:
+                self._flush()
 
     def _emit_uncombined(
         self, entry: OPTEntry, offset: int, data: bytes, nwords: int
     ) -> None:
         """One packet per store, carried as a single fragment burst."""
+        # Positional: binding keywords to Packet's many fields costs more
+        # than building the packet (src, dst, dst_frame, offset, payload,
+        # kind, interrupt, fragments).
         self.emit(
             Packet(
-                src=self.src_node,
-                dst=entry.dst_node,
-                dst_frame=entry.dst_frame,
-                offset=offset,
-                payload=bytes(data),
-                kind=PacketKind.AUTOMATIC_UPDATE,
-                interrupt=entry.interrupt,
-                fragments=nwords,
+                self.src_node,
+                entry.dst_node,
+                entry.dst_frame,
+                offset,
+                bytes(data),
+                PacketKind.AUTOMATIC_UPDATE,
+                entry.interrupt,
+                nwords,
             )
         )
         self.packets_emitted += nwords
-
-    def _combine_run(self, entry: OPTEntry, offset: int, data: bytes) -> None:
-        pos = 0
-        while pos < len(data):
-            run_offset = offset + pos
-            pending = self._pending
-            extends = (
-                pending is not None
-                and pending.dst_node == entry.dst_node
-                and pending.dst_frame == entry.dst_frame
-                and pending.end == run_offset
-            )
-            if not extends:
-                self._flush()
-                self._pending = PendingPacket(
-                    dst_node=entry.dst_node,
-                    dst_frame=entry.dst_frame,
-                    offset=run_offset,
-                    data=bytearray(),
-                    interrupt=entry.interrupt,
-                    generation=self._next_generation(),
-                )
-                self._arm_timer(self._pending.generation)
-            else:
-                self.stores_combined += 1
-
-            pending = self._pending
-            # Fill up to the next sub-page combining boundary.
-            boundary = (
-                (pending.end // self.combine_boundary) + 1
-            ) * self.combine_boundary
-            take = min(len(data) - pos, boundary - pending.end)
-            pending.data.extend(data[pos : pos + take])
-            pos += take
-            if pending.end >= boundary or pending.end >= self.page_size:
-                self._flush()
 
     # -- flushing ----------------------------------------------------------
 
@@ -161,22 +170,20 @@ class CombiningEngine:
         pending, self._pending = self._pending, None
         if pending is None or not pending.data:
             return
+        assert pending.end == pending.offset + len(pending.data), pending
+        # Positional, as in _emit_uncombined.
         self.emit(
             Packet(
-                src=self.src_node,
-                dst=pending.dst_node,
-                dst_frame=pending.dst_frame,
-                offset=pending.offset,
-                payload=bytes(pending.data),
-                kind=PacketKind.AUTOMATIC_UPDATE,
-                interrupt=pending.interrupt,
+                self.src_node,
+                pending.dst_node,
+                pending.dst_frame,
+                pending.offset,
+                bytes(pending.data),
+                PacketKind.AUTOMATIC_UPDATE,
+                pending.interrupt,
             )
         )
         self.packets_emitted += 1
-
-    def _next_generation(self) -> int:
-        self._generation += 1
-        return self._generation
 
     def _arm_timer(self, generation: int) -> None:
         def expire() -> None:

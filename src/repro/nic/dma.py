@@ -147,7 +147,7 @@ class DeliberateUpdateEngine:
         stats = self.stats
         get = self._requests.get
         try_get = self._requests.try_get
-        bus_transfer = self.bus.transfer
+        bus = self.bus
         memory_read = self.memory.read
         pending_pages = self._pending_pages
         release_slot = self._slots.release
@@ -177,7 +177,14 @@ class DeliberateUpdateEngine:
             yield dma_start
             # DMA read of the source data: holds the memory bus at EISA
             # speed, locking out the CPU for the duration.
-            yield from bus_transfer(request.nbytes, bandwidth=eisa_bandwidth)
+            nbytes = request.nbytes
+            if bus.try_hold():
+                try:
+                    yield bus.hold_us(nbytes, eisa_bandwidth)
+                finally:
+                    bus.end_hold(nbytes)
+            else:
+                yield from bus.transfer(nbytes, bandwidth=eisa_bandwidth)
             payload = memory_read(request.src_phys, request.nbytes)
             pending_pages.discard(request.src_phys // page_size)
             release_slot()
@@ -185,19 +192,23 @@ class DeliberateUpdateEngine:
                 request.sent.succeed()
 
             yield packetize
+            # Positional up to last_of_message, then the optional tags by
+            # assignment: binding keywords to Packet's many fields costs
+            # more than building the packet.
             packet = Packet(
-                src=node_id,
-                dst=request.dst_node,
-                dst_frame=request.dst_frame,
-                offset=request.dst_offset,
-                payload=payload,
-                kind=PacketKind.DELIBERATE_UPDATE,
-                interrupt=request.interrupt,
-                last_of_message=request.last_of_message,
-                channel=request.channel,
-                seq=request.seq,
-                span=span,
+                node_id,
+                request.dst_node,
+                request.dst_frame,
+                request.dst_offset,
+                payload,
+                PacketKind.DELIBERATE_UPDATE,
+                request.interrupt,
+                1,
+                request.last_of_message,
             )
+            packet.channel = request.channel
+            packet.seq = request.seq
+            packet.span = span
             yield from inject(packet)
             self.transfers_completed += 1
             transfers_counter = self._transfers_counter
@@ -206,8 +217,8 @@ class DeliberateUpdateEngine:
                     "du.transfers"
                 )
                 self._bytes_counter = stats.counter("du.bytes")
-            transfers_counter.add(1)
-            self._bytes_counter.add(request.nbytes)
+            transfers_counter.value += 1
+            self._bytes_counter.value += nbytes
             if request.delivered is not None:
                 request.delivered.succeed()
             if tel is not None:

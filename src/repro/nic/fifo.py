@@ -76,8 +76,11 @@ class OutgoingFIFO:
                 "(software flow control failed)"
             )
         self.fill_bytes = new_fill
-        self.max_fill = max(self.max_fill, new_fill)
-        self._record_fill()
+        if new_fill > self.max_fill:
+            self.max_fill = new_fill
+        stats = self.stats
+        if stats is not None and stats.telemetry is not None:
+            self._record_fill()
         monitor = self.sim.monitor
         if monitor is not None:
             # Synchronous watermark check: a burst that fills and drains
@@ -96,11 +99,9 @@ class OutgoingFIFO:
         self._queue.put(packet)
 
     def _record_fill(self) -> None:
-        tel = None if self.stats is None else self.stats.telemetry
-        if tel is not None:
-            tel.timeline(f"{self.name}.fill", node=self.node).record(
-                self.sim.now, self.fill_bytes
-            )
+        self.stats.telemetry.timeline(f"{self.name}.fill", node=self.node).record(
+            self.sim.now, self.fill_bytes
+        )
 
     def get(self) -> Generator:
         """Dequeue the next packet (drain side; blocks when empty)."""
@@ -109,14 +110,16 @@ class OutgoingFIFO:
 
     def mark_injected(self, packet: Packet) -> None:
         """Account a packet as fully out of the FIFO."""
-        self.fill_bytes -= packet.size
-        if self.fill_bytes < 0:
+        fill = self.fill_bytes = self.fill_bytes - packet.size
+        if fill < 0:
             raise RuntimeError(f"{self.name}: negative fill")
-        self._record_fill()
-        if self.over_threshold and self.fill_bytes <= self.resume_mark:
+        stats = self.stats
+        if stats is not None and stats.telemetry is not None:
+            self._record_fill()
+        if self.over_threshold and fill <= self.resume_mark:
             self.over_threshold = False
             self.drained.fire()
-        if self.fill_bytes == 0:
+        if fill == 0:
             self.emptied.fire()
         self.space_freed.fire()
 

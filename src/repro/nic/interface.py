@@ -18,7 +18,8 @@ its own engine that never waits on the send side.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from collections import deque
+from typing import Callable, Deque, Generator, List, Optional, Tuple
 
 from ..sim import Queue, Resource, Simulator, StatsRegistry, Timeout
 from ..hardware import MachineParams, MemoryBus, PhysicalMemory
@@ -94,7 +95,10 @@ class ShrimpNIC:
         self._rx_queue: Queue = Queue(sim, f"rx{node_id}")
         self._rx_fill = 0
         self._rx_freed = None  # created lazily (needs sim ready)
-        self._delivery_queue: Queue = Queue(sim, f"delivery{node_id}")
+        #: Deliveries waiting to become visible, in arrival order:
+        #: (packet, visible_at, is_notification).  The head is the one
+        #: whose timer is armed.
+        self._deliveries: Deque[Tuple[Packet, float, bool]] = deque()
         self._delivery_hooks: List[DeliveryHook] = []
         #: Set by the kernel: fired for notification-eligible packets.
         self.on_notification_interrupt: Optional[Callable[[Packet], None]] = None
@@ -116,8 +120,11 @@ class ShrimpNIC:
         # counters never appear (zero-valued) in stats snapshots.
         self._rx_packets_counter = None
         self._rx_bytes_counter = None
+        self._au_runs_counter = None
+        self._au_bytes_counter = None
+        self._au_packets_counter = None
 
-        backplane.attach_receiver(node_id, self._on_packet)
+        backplane.attach_receiver(node_id, self._on_packet, self._try_admit)
         self._started = False
 
     def start(self) -> None:
@@ -128,9 +135,6 @@ class ShrimpNIC:
         self.du.start()
         self.sim.spawn(self._drain_fifo(), f"fifo-drain{self.node_id}", daemon=True)
         self.sim.spawn(self._receive_engine(), f"rx-engine{self.node_id}", daemon=True)
-        self.sim.spawn(
-            self._delivery_pipeline(), f"delivery{self.node_id}", daemon=True
-        )
 
     def add_delivery_hook(self, hook: DeliveryHook) -> None:
         self._delivery_hooks.append(hook)
@@ -145,18 +149,32 @@ class ShrimpNIC:
         """
         if not self.config.automatic_update:
             return None
-        entry = self.opt.au_lookup(frame)
-        if entry is None:
+        entry = self.opt._au.get(frame)  # OutgoingPageTable.au_lookup, inlined
+        if entry is None or not entry.enabled:
             return None
         self.combiner.write_run(entry, offset, data)
-        self.stats.count("au.write_runs")
-        self.stats.count("au.bytes", len(data))
+        runs = self._au_runs_counter
+        if runs is None:
+            runs = self._au_runs_counter = self.stats.counter("au.write_runs")
+            self._au_bytes_counter = self.stats.counter("au.bytes")
+        runs.value += 1
+        self._au_bytes_counter.value += len(data)
         return entry
 
     def _drain_fifo(self) -> Generator:
+        # Long-lived engine loop: invariant collaborators live in locals.
+        fifo = self.fifo
+        queue = fifo._queue
+        stats = self.stats
+        inject = self._inject
+        capture_us = self.params.snoop_capture_us + self.params.packetize_us
         while True:
-            packet = yield from self.fifo.get()
-            tel = self.stats.telemetry
+            # try_get first: the FIFO is almost never empty when the drain
+            # comes back for the next packet (packets are never None).
+            packet = queue.try_get()
+            if packet is None:
+                packet = yield from queue._get_wait()
+            tel = stats.telemetry
             span = None
             if tel is not None:
                 span = tel.begin(
@@ -169,10 +187,13 @@ class ShrimpNIC:
                     fragments=packet.fragments,
                 )
                 packet.span = span
-            yield self.params.snoop_capture_us + self.params.packetize_us
-            yield from self._inject(packet)
-            self.fifo.mark_injected(packet)
-            self.stats.count("au.packets", packet.fragments)
+            yield capture_us
+            yield from inject(packet)
+            fifo.mark_injected(packet)
+            au_packets = self._au_packets_counter
+            if au_packets is None:
+                au_packets = self._au_packets_counter = stats.counter("au.packets")
+            au_packets.value += packet.fragments
             if tel is not None:
                 tel.end(span)
 
@@ -234,16 +255,11 @@ class ShrimpNIC:
         """Backplane admit path: blocks while the incoming FIFO is full
         (the caller holds the worm's path, so this is wormhole
         backpressure)."""
-        if self._rx_freed is None:
-            from ..sim import Signal
-
-            self._rx_freed = Signal(self.sim, f"rxfree{self.node_id}")
-        size = packet.size
-        capacity = max(self.params.rx_fifo_bytes, size)
+        if self._try_admit(packet):
+            return
         if (
             self.fault_plan is not None
             and self.fault_plan.config.rx_overflow_discard
-            and self._rx_fill + size > capacity
         ):
             # Commodity-switch behavior: a full receive FIFO discards the
             # arrival instead of exerting wormhole backpressure.
@@ -253,17 +269,38 @@ class ShrimpNIC:
             if monitor is not None:
                 monitor.note_rx_overflow(self.node_id, packet)
             return
-        while self._rx_fill + size > capacity:
+        if self._rx_freed is None:
+            from ..sim import Signal
+
+            self._rx_freed = Signal(self.sim, f"rxfree{self.node_id}")
+        while True:
             self.stats.count("rx.backpressure")
             yield from self._rx_freed.wait()
-        self._rx_fill += size
+            if self._try_admit(packet):
+                return
+
+    def _try_admit(self, packet: Packet) -> bool:
+        """Admit the packet if the incoming FIFO has room for it and
+        return True; else change nothing and return False.
+
+        The one admission rule, and the non-blocking half of
+        :meth:`_on_packet`: ``Backplane.transmit`` calls it directly and
+        enters the generator only when the FIFO is full.
+        """
+        fill = self._rx_fill + packet.size
+        if fill > self.params.rx_fifo_bytes and self._rx_fill:
+            # Full.  (A packet larger than the whole FIFO still enters an
+            # empty one.)
+            return False
+        self._rx_fill = fill
         tel = self.stats.telemetry
         if tel is not None:
             packet.admitted_at = self.sim.now
             tel.timeline(f"rxfifo.n{self.node_id}", node=self.node_id).record(
-                self.sim.now, self._rx_fill
+                self.sim.now, fill
             )
         self._rx_queue.put(packet)
+        return True
 
     def _receive_engine(self) -> Generator:
         # Long-lived engine loop: invariant collaborators live in locals
@@ -274,7 +311,7 @@ class ShrimpNIC:
         stats = self.stats
         get = self._rx_queue.get
         try_get = self._rx_queue.try_get
-        bus_transfer = self.bus.transfer
+        bus = self.bus
         memory = self.memory
         post_delivery = self._post_delivery
         rx_packet_us = params.rx_packet_us
@@ -330,7 +367,7 @@ class ShrimpNIC:
                 stats.count("fault.corrupt_discards")
                 stats.trace("fault.corrupt_discard", node_id, repr(packet))
                 continue
-            data_bytes = packet.data_bytes
+            data_bytes = len(packet.payload)
             if packet.kind is not PacketKind.COLLECTIVE:
                 # Incoming DMA into main memory: each fragment is an
                 # individual EISA bus transaction — the bandwidth penalty
@@ -338,12 +375,20 @@ class ShrimpNIC:
                 # data (section 4.5.1).  Collective packets never cross
                 # EISA: the firmware consumes them inside the NIC, which is
                 # precisely the cost the in-network protocol removes.
-                yield from bus_transfer(
-                    data_bytes,
-                    bandwidth=eisa_bandwidth,
-                    transactions=fragments,
-                    transaction_us=eisa_transaction_us,
-                )
+                if bus.try_hold():
+                    try:
+                        yield bus.hold_us(
+                            data_bytes, eisa_bandwidth, fragments, eisa_transaction_us
+                        )
+                    finally:
+                        bus.end_hold(data_bytes, fragments)
+                else:
+                    yield from bus.transfer(
+                        data_bytes,
+                        bandwidth=eisa_bandwidth,
+                        transactions=fragments,
+                        transaction_us=eisa_transaction_us,
+                    )
                 if packet.kind is not PacketKind.CONTROL:
                     base = memory.frame_base(packet.dst_frame)
                     memory.write(base + packet.offset, packet.payload)
@@ -359,21 +404,21 @@ class ShrimpNIC:
             if rx_packets is None:
                 rx_packets = self._rx_packets_counter = stats.counter("rx.packets")
                 self._rx_bytes_counter = stats.counter("rx.bytes")
-            rx_packets.add(fragments)
-            self._rx_bytes_counter.add(data_bytes)
+            rx_packets.value += fragments
+            self._rx_bytes_counter.value += data_bytes
             if stats.telemetry is not None:
                 stats.trace("nic.rx", node_id, repr(packet))
             post_delivery(packet)
 
     def _post_delivery(self, packet: Packet) -> None:
-        """Queue the packet's delivery side-effects.
+        """Schedule the packet's delivery side-effects.
 
         Visibility (status words, notifications) lags the DMA by the
         receive pipeline latency, plus — in the interrupt-per-message
         what-if — the null handler's run time, since the handler preempts
         the processor before the polling application can observe the
-        arrival.  A single pipeline process applies effects strictly in
-        arrival order.
+        arrival.  Effects apply strictly in arrival order: a delivery never
+        becomes visible before the one queued ahead of it.
         """
         if packet.kind is PacketKind.COLLECTIVE:
             # NIC-resident reaction: the collective engine sees the packet
@@ -389,33 +434,45 @@ class ShrimpNIC:
         if packet.kind is PacketKind.CONTROL:
             # Control packets carry no notification semantics; they only
             # reach the endpoint-level delivery hooks.
-            self._delivery_queue.put((packet, self.sim.now + delay, False))
-            return
-        is_message_end = (
-            packet.kind is PacketKind.DELIBERATE_UPDATE and packet.last_of_message
-        )
-        is_notification = self.ipt.should_interrupt(packet.dst_frame, packet.interrupt)
-        if (
-            not is_notification
-            and self.config.interrupt_every_message
-            and is_message_end
-            and self.on_message_interrupt is not None
-        ):
-            self.on_message_interrupt(packet)
-            delay += self.params.interrupt_null_us
-        self._delivery_queue.put((packet, self.sim.now + delay, is_notification))
+            is_notification = False
+        else:
+            is_message_end = (
+                packet.kind is PacketKind.DELIBERATE_UPDATE
+                and packet.last_of_message
+            )
+            is_notification = self.ipt.should_interrupt(
+                packet.dst_frame, packet.interrupt
+            )
+            if (
+                not is_notification
+                and self.config.interrupt_every_message
+                and is_message_end
+                and self.on_message_interrupt is not None
+            ):
+                self.on_message_interrupt(packet)
+                delay += self.params.interrupt_null_us
+        now = self.sim.now
+        visible_at = now + delay
+        deliveries = self._deliveries
+        deliveries.append((packet, visible_at, is_notification))
+        if len(deliveries) == 1:
+            # The pipeline was idle: arm its timer for this delivery.  The
+            # delay is ``visible_at - now``, not ``delay``, so the wake time
+            # is rounded exactly as when it is re-armed in _deliver_due.
+            self.sim.schedule(visible_at - now, self._deliver_due)
 
-    def _delivery_pipeline(self) -> Generator:
-        get = self._delivery_queue.get
-        try_get = self._delivery_queue.try_get
+    def _deliver_due(self) -> None:
+        """Timer callback: apply the head delivery, then every queued one
+        already visible; re-arm the timer for the next one still pending.
+
+        A single timer chain per NIC, rather than one timer per packet,
+        keeps a late-arriving short-delay delivery behind the long-delay one
+        ahead of it.
+        """
+        deliveries = self._deliveries
         sim = self.sim
         while True:
-            entry = try_get()
-            if entry is None:
-                entry = yield from get()
-            packet, visible_at, is_notification = entry
-            if visible_at > sim.now:
-                yield visible_at - sim.now
+            packet, _visible_at, is_notification = deliveries[0]
             if is_notification and self.on_notification_interrupt is not None:
                 tel = self.stats.telemetry
                 if tel is not None:
@@ -429,3 +486,10 @@ class ShrimpNIC:
                 self.on_notification_interrupt(packet)
             for hook in self._delivery_hooks:
                 hook(packet)
+            deliveries.popleft()
+            if not deliveries:
+                return
+            visible_at = deliveries[0][1]
+            if visible_at > sim.now:
+                sim.schedule(visible_at - sim.now, self._deliver_due)
+                return

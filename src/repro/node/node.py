@@ -102,21 +102,23 @@ class Node:
         bindings are page-aligned.
         """
         fifo = self.nic.fifo
+        params = self.params
 
         # Fast path: a sparse store run is posted — the CPU pays only the
         # store cost and moves on; the bus transaction and snoop capture
         # complete asynchronously (in issue order, since the bus resource
         # grants FIFO).
-        if len(data) <= self.params.posted_write_max:
-            yield from self.kernel.au_throttle()
-            worst_wire = len(data) * (1 + 8 // self.params.word_size)
+        if len(data) <= params.posted_write_max:
+            if fifo.over_threshold:
+                yield from self.kernel.au_throttle()
+            worst_wire = len(data) * (1 + 8 // params.word_size)
             # Headroom must cover this store AND every posted store still
             # in flight (their packets have not reached the FIFO yet).
             while fifo.headroom < worst_wire + self._posted_reserved_wire:
                 yield from fifo.space_freed.wait()
             phys = space.translate(vaddr, Protection.WRITE)
-            frame, page_offset = divmod(phys, self.params.page_size)
-            if page_offset + len(data) > self.params.page_size:
+            frame, page_offset = divmod(phys, params.page_size)
+            if page_offset + len(data) > params.page_size:
                 raise ValueError("posted AU store run crosses a page boundary")
             self.memory.write(phys, data)
             self.pending_posted += 1
@@ -125,7 +127,7 @@ class Node:
                 self._posted_store(frame, page_offset, bytes(data), worst_wire),
                 f"posted{self.node_id}",
             )
-            yield from self.cpu.busy(self.params.posted_write_us, category)
+            yield from self.cpu.busy(params.posted_write_us, category)
             return
 
         # Bulk path: chunk the store stream so the outgoing FIFO fills at
@@ -138,30 +140,55 @@ class Node:
         chunk_bytes = min(
             self.nic.config.combine_boundary, 128, max(32, fifo.capacity // 8)
         )
-        wt_bw = self.params.write_through_bandwidth
+        # Per-chunk invariants, hoisted: this loop runs once per 128 bytes
+        # of every bulk automatic-update store stream.
+        stats = self.stats
+        node_id = self.node_id
+        bus = self.bus
+        wt_bw = params.write_through_bandwidth
+        page_size = params.page_size
+        wire_per_byte = 1 + 8 // params.word_size
+        memory_write = self.memory.write
+        snoop_write = self.nic.snoop_write
         offset = 0
         remaining = len(data)
         addr = vaddr
+        frame = 0
+        hold_size = hold = None
         while remaining > 0:
-            yield from self.kernel.au_throttle()
-            in_page = self.params.page_size - (addr % self.params.page_size)
-            size = min(in_page, remaining, chunk_bytes)
+            if fifo.over_threshold:
+                yield from self.kernel.au_throttle()
+            page_offset = addr % page_size
+            size = min(page_size - page_offset, remaining, chunk_bytes)
             chunk = data[offset : offset + size]
-            phys = space.translate(addr, Protection.WRITE)
-            frame, page_offset = divmod(phys, self.params.page_size)
+            if offset == 0 or page_offset == 0:
+                # Chunks never straddle a page, so translate once per page.
+                frame = space.translate(addr, Protection.WRITE) // page_size
             # Backstop: never let a chunk overflow the FIFO even at its
             # worst-case uncombined wire expansion (header per word).
-            worst_wire = size * (1 + 8 // self.params.word_size)
-            while fifo.headroom < worst_wire + self._posted_reserved_wire:
+            worst_wire = size * wire_per_byte
+            while (
+                fifo.capacity - fifo.fill_bytes
+                < worst_wire + self._posted_reserved_wire
+            ):
                 yield from fifo.space_freed.wait()
             # Write-through store stream: the CPU holds the bus, at
-            # non-bursting word-write speed.
-            yield from self.bus.transfer(size, bandwidth=wt_bw)
-            self.stats.breakdown(self.node_id).charge(
-                category, self.bus.transfer_time(size, bandwidth=wt_bw)
-            )
-            self.memory.write(phys, chunk)
-            self.nic.snoop_write(frame, page_offset, chunk)
+            # non-bursting word-write speed.  Every chunk but a run's last
+            # has the same size, so the hold is priced once per size.
+            if size != hold_size:
+                hold_size = size
+                hold = bus.hold_us(size, wt_bw)
+            if bus.try_hold():
+                try:
+                    yield hold
+                finally:
+                    bus.end_hold(size)
+            else:
+                yield from bus.transfer(size, bandwidth=wt_bw)
+            # Looked up per chunk: apps replace the breakdown objects.
+            stats.breakdowns[node_id].charge(category, hold)
+            memory_write(frame * page_size + page_offset, chunk)
+            snoop_write(frame, page_offset, chunk)
             addr += size
             offset += size
             remaining -= size

@@ -316,7 +316,7 @@ class Simulator:
         """Run ``fn()`` after ``delay`` microseconds of virtual time."""
         if not delay >= 0:
             raise SimulationError(f"negative or NaN delay: {delay}")
-        heapq.heappush(
+        _heappush(
             self._queue, (self.now + delay, next(self._seq), fn, None, None, None)
         )
 

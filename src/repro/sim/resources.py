@@ -65,6 +65,19 @@ class Resource:
     ``capacity`` holders may proceed and the rest queue in arrival order.
     """
 
+    __slots__ = (
+        "sim",
+        "capacity",
+        "name",
+        "_gate_name",
+        "_in_use",
+        "_waiters",
+        "_spare_gate",
+        "busy_time",
+        "_busy_since",
+        "_holders",
+    )
+
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
             raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
@@ -113,8 +126,8 @@ class Resource:
     def _acquire_wait(self) -> Generator:
         # Gate events are single-use and private to this resource, so a
         # completed one can be reset and reused by the next waiter instead
-        # of allocating afresh.  An interrupted wait skips the recycle line,
-        # so a gate still queued in ``_waiters`` is never reused.
+        # of allocating afresh.  An abandoned wait skips the recycle line,
+        # so an abandoned gate is never reused.
         gate = self._spare_gate
         if gate is None:
             gate = Event(self.sim, self._gate_name)
@@ -123,7 +136,18 @@ class Resource:
             gate._triggered = False
             gate._value = None
         self._waiters.append(gate)
-        yield gate
+        try:
+            yield gate
+        except BaseException:
+            # The waiter died (interrupted or closed) before taking its
+            # unit: withdraw the gate, or, if a release already granted the
+            # unit to it in this instant, pass the unit on so it is not
+            # leaked.
+            if gate._triggered:
+                self.release()
+            else:
+                self._waiters.remove(gate)
+            raise
         self._spare_gate = gate
         if self.sim.monitor is not None:
             self._note_hold()
@@ -139,19 +163,23 @@ class Resource:
         which grants the uncontended case with one plain call — no
         ``yield from`` round-trip at all (equivalent to ``acquire``).
         """
-        if self._in_use < self.capacity:
-            if self._in_use == 0:
-                self._busy_since = self.sim.now
-            self._in_use += 1
-            if self.sim.monitor is not None:
-                self._note_hold()
-            return True
-        return False
+        in_use = self._in_use
+        if in_use >= self.capacity:
+            return False
+        sim = self.sim
+        if not in_use:
+            self._busy_since = sim.now
+        self._in_use = in_use + 1
+        if sim.monitor is not None:
+            self._note_hold()
+        return True
 
     def release(self) -> None:
-        if self._in_use <= 0:
+        in_use = self._in_use
+        if in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
-        if self.sim.monitor is not None:
+        sim = self.sim
+        if sim.monitor is not None:
             self._drop_hold()
         waiters = self._waiters
         if waiters:
@@ -159,9 +187,9 @@ class Resource:
             # is unchanged and the resource never goes idle.
             waiters.popleft().succeed()
             return
-        self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.sim.now - self._busy_since
+        self._in_use = in_use - 1
+        if in_use == 1 and self._busy_since is not None:
+            self.busy_time += sim.now - self._busy_since
             self._busy_since = None
 
     def _grant(self) -> None:
@@ -224,6 +252,16 @@ class Queue:
     need byte-granularity accounting rather than item counts).
     """
 
+    __slots__ = (
+        "sim",
+        "name",
+        "_gate_name",
+        "_items",
+        "_getters",
+        "_spare_gate",
+        "total_put",
+    )
+
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         if not name:
@@ -272,7 +310,21 @@ class Queue:
             gate._triggered = False
             gate._value = None
         self._getters.append(gate)
-        item = yield gate
+        try:
+            item = yield gate
+        except BaseException:
+            # The getter died before taking its item: withdraw the gate, or
+            # hand an item already granted to it in this instant to the next
+            # getter (or back to the head of the queue).
+            if gate._triggered:
+                item = gate._value
+                if self._getters:
+                    self._getters.popleft().succeed(item)
+                else:
+                    self._items.appendleft(item)
+            else:
+                self._getters.remove(gate)
+            raise
         self._spare_gate = gate
         return item
 
@@ -300,6 +352,8 @@ class Signal:
     "new message arrived" style conditions where a fresh event per round is
     wanted.
     """
+
+    __slots__ = ("sim", "name", "_event", "_retired", "fire_count")
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim

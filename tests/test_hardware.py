@@ -393,8 +393,8 @@ def test_unmap_page():
 def test_bus_transfer_time_scales_with_size():
     sim = Simulator()
     bus = MemoryBus(sim, DEFAULT_PARAMS)
-    small = bus.transfer_time(4)
-    large = bus.transfer_time(4096)
+    small = bus.hold_us(4)
+    large = bus.hold_us(4096)
     assert large > small
     assert small == pytest.approx(
         DEFAULT_PARAMS.bus_transaction_us + 4 / DEFAULT_PARAMS.memory_bus_bandwidth
@@ -404,8 +404,8 @@ def test_bus_transfer_time_scales_with_size():
 def test_bus_bandwidth_cap():
     sim = Simulator()
     bus = MemoryBus(sim, DEFAULT_PARAMS)
-    eisa = bus.transfer_time(1024, bandwidth=DEFAULT_PARAMS.eisa_bandwidth)
-    full = bus.transfer_time(1024)
+    eisa = bus.hold_us(1024, bandwidth=DEFAULT_PARAMS.eisa_bandwidth)
+    full = bus.hold_us(1024)
     assert eisa > full
 
 
@@ -429,8 +429,8 @@ def test_bus_serializes_masters():
 def test_bus_transaction_count_for_fragments():
     sim = Simulator()
     bus = MemoryBus(sim, DEFAULT_PARAMS)
-    one = bus.transfer_time(1024, transactions=1)
-    many = bus.transfer_time(1024, transactions=256)
+    one = bus.hold_us(1024, transactions=1)
+    many = bus.hold_us(1024, transactions=256)
     assert many - one == pytest.approx(255 * DEFAULT_PARAMS.bus_transaction_us)
 
 

@@ -121,7 +121,8 @@ def _attach_collector(bp, node):
         return
         yield  # pragma: no cover
 
-    bp.attach_receiver(node, admit)
+    # No non-blocking half: every packet goes through the admit generator.
+    bp.attach_receiver(node, admit, lambda packet: False)
     return received
 
 

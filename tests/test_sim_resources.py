@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.sim import Queue, Resource, Signal, SimulationError, Simulator, Timeout
+from repro.sim import (
+    Interrupted,
+    Queue,
+    Resource,
+    Signal,
+    SimulationError,
+    Simulator,
+    Timeout,
+)
 
 
 def test_resource_capacity_validation():
@@ -214,3 +222,131 @@ def test_signal_fire_without_waiters_is_fine():
     sim.schedule(1.0, lambda: signal.fire("later"))
     sim.run()
     assert woken == ["later"]
+
+
+# -- interrupted waiters -------------------------------------------------
+# A waiter interrupted while queued on a Resource or Queue gate must not
+# take the unit or item with it: either its gate is withdrawn (interrupt
+# before the grant) or the grant it already received in the same instant is
+# passed on (interrupt, then grant, before the waiter runs again).
+
+
+def _interruptible(wait, outcome, tag):
+    try:
+        value = yield from wait()
+    except Interrupted as exc:
+        outcome[tag] = exc.cause
+        return
+    outcome[tag] = value
+
+
+def test_interrupted_resource_waiter_does_not_leak_the_unit():
+    sim = Simulator()
+    res = Resource(sim, name="bus")
+    outcome = {}
+
+    def holder():
+        yield from res.acquire()
+        yield Timeout(10.0)
+        res.release()
+
+    sim.spawn(holder(), "holder")
+    victim = sim.spawn(_interruptible(res.acquire, outcome, "victim"), "victim")
+    sim.schedule(1.0, lambda: victim.interrupt("bored"))
+    sim.run()
+    assert outcome == {"victim": "bored"}
+    # The release found no waiter: the resource is idle, not held by the
+    # dead gate.
+    assert res.in_use == 0
+    assert res.queue_length == 0
+    assert res.try_acquire()
+
+
+def test_unit_granted_to_an_interrupted_waiter_passes_to_the_next():
+    sim = Simulator()
+    res = Resource(sim, name="bus")
+    outcome = {}
+    grants = []
+
+    def holder():
+        yield from res.acquire()
+        yield Timeout(10.0)
+        # Interrupt first, then grant, in one step: the unit reaches the
+        # victim's gate although the victim will only ever see the throw.
+        victim.interrupt("late")
+        res.release()
+
+    def next_in_line():
+        yield from res.acquire()
+        grants.append(sim.now)
+        res.release()
+
+    sim.spawn(holder(), "holder")
+    victim = sim.spawn(_interruptible(res.acquire, outcome, "victim"), "victim")
+    sim.spawn(next_in_line(), "next")
+    sim.run()
+    assert outcome == {"victim": "late"}
+    assert grants == [10.0]
+    assert res.in_use == 0 and res.queue_length == 0
+
+
+def test_interrupted_queue_getter_does_not_swallow_an_item():
+    sim = Simulator()
+    queue = Queue(sim, "mailbox")
+    outcome = {}
+    got = []
+
+    victim = sim.spawn(_interruptible(queue.get, outcome, "victim"), "victim")
+    sim.schedule(1.0, lambda: victim.interrupt("bored"))
+    sim.schedule(2.0, lambda: queue.put("mail"))
+    sim.run()
+    assert outcome == {"victim": "bored"}
+    assert len(queue) == 1
+
+    def later_getter():
+        got.append((yield from queue.get()))
+
+    sim.run_process(later_getter())
+    assert got == ["mail"]
+
+
+def test_item_granted_to_an_interrupted_getter_passes_to_the_next():
+    sim = Simulator()
+    queue = Queue(sim, "mailbox")
+    outcome = {}
+    got = []
+
+    def getter(tag):
+        got.append((tag, (yield from queue.get())))
+
+    def producer():
+        yield Timeout(1.0)
+        victim.interrupt("late")
+        queue.put("first")
+
+    victim = sim.spawn(_interruptible(queue.get, outcome, "victim"), "victim")
+    sim.spawn(getter("next"), "next")
+    sim.spawn(producer(), "producer")
+    sim.run()
+    assert outcome == {"victim": "late"}
+    # "first" went to the victim's gate, then on to the next getter.
+    assert got == [("next", "first")]
+    assert len(queue) == 0
+
+
+def test_item_granted_to_an_interrupted_sole_getter_returns_to_the_head():
+    sim = Simulator()
+    queue = Queue(sim, "mailbox")
+    outcome = {}
+
+    def producer():
+        yield Timeout(1.0)
+        victim.interrupt("late")
+        queue.put("first")
+        queue.put("second")
+
+    victim = sim.spawn(_interruptible(queue.get, outcome, "victim"), "victim")
+    sim.spawn(producer(), "producer")
+    sim.run()
+    assert outcome == {"victim": "late"}
+    assert [queue.try_get(), queue.try_get()] == ["first", "second"]
