@@ -1,11 +1,14 @@
 """Shared fixtures for the evaluation benchmarks.
 
-One :class:`ExperimentRunner` is shared across every benchmark module, so
-baseline runs are simulated once and reused by each table/figure — the
-whole evaluation regenerates in a single pytest invocation::
+The session ``runner`` serves every app run the ``study all`` families
+ask for: they are planned once, run once each on this process's CPUs,
+and every table/figure module reads the same records — the whole
+evaluation regenerates in a single pytest invocation::
 
     pytest benchmarks/ --benchmark-only -s
 """
+
+import os
 
 import pytest
 
@@ -17,7 +20,13 @@ PAPER_NODES = 16
 
 @pytest.fixture(scope="session")
 def runner():
-    return ExperimentRunner()
+    from repro.study.__main__ import FAMILIES
+
+    planner = ExperimentRunner()
+    for _description, in_all, emitter in FAMILIES.values():
+        if in_all:
+            emitter(planner, PAPER_NODES)
+    return planner.execute(workers=len(os.sched_getaffinity(0)))
 
 
 @pytest.fixture(scope="session")

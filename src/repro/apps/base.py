@@ -33,7 +33,6 @@ class AppResult:
     elapsed_us: float
     breakdown: TimeBreakdown
     stats: Dict[str, float]
-    validated: bool = True
 
     @property
     def elapsed_ms(self) -> float:

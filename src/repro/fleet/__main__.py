@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import BUILTIN_MATRICES, Catalog, load_catalog
+from .catalog import BUILTIN_MATRICES, load_catalog
 from .runner import run_specs
 from .store import RunStore
 from .workloads import FAULT_PLANS, WORKLOADS
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="run a catalog's specs (cache hits are free)"
     )
     run.add_argument(
-        "--matrix", default=None, metavar="CATALOG",
+        "--matrix", required=True, metavar="CATALOG",
         help="JSON catalog path or built-in matrix name "
         f"({', '.join(sorted(BUILTIN_MATRICES))})",
     )
@@ -52,12 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-run even on valid cached records",
     )
     run.add_argument(
-        "--families", metavar="FILE", default=None,
-        help="also ingest a `python -m repro.study --list` listing "
-        "as study:<family> specs (use - for stdin, so the two CLIs "
-        "compose as a pipe)",
-    )
-    run.add_argument(
         "--progress", action="store_true",
         help="print per-spec start/finish heartbeats with a fleet ETA "
         "to stderr (records are unaffected: they carry no wall clock)",
@@ -66,8 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lst = commands.add_parser(
         "list", help="expand a catalog and print specs + fingerprints"
     )
-    lst.add_argument("--matrix", default=None, metavar="CATALOG")
-    lst.add_argument("--families", metavar="FILE", default=None)
+    lst.add_argument("--matrix", required=True, metavar="CATALOG")
 
     commands.add_parser(
         "workloads", help="print registered workloads and fault plans"
@@ -75,28 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _catalog(args) -> Catalog:
-    families = getattr(args, "families", None)
-    if args.matrix is None and not families:
-        raise SystemExit("need --matrix CATALOG and/or --families FILE")
-    specs = []
-    name = "families"
-    if args.matrix is not None:
-        catalog = load_catalog(args.matrix)
-        specs.extend(catalog.specs)
-        name = catalog.name
-    if families:
-        if families == "-":
-            listing = sys.stdin.read()
-        else:
-            with open(families, "r", encoding="utf-8") as fh:
-                listing = fh.read()
-        specs.extend(Catalog.from_family_listing(listing))
-    return Catalog(name=name, specs=specs)
-
-
 def _cmd_run(args) -> int:
-    catalog = _catalog(args)
+    catalog = load_catalog(args.matrix)
     store = RunStore(args.store)
     progress = None
     if args.progress:
@@ -129,7 +102,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    catalog = _catalog(args)
+    catalog = load_catalog(args.matrix)
     for spec in catalog:
         print(f"{spec.fingerprint}  {spec.describe()}")
     print(f"\n{catalog.name}: {len(catalog)} spec(s)")
@@ -143,7 +116,7 @@ def _cmd_workloads() -> int:
     print("  bench:<name>   any benchmark in repro.bench (see `python -m "
           "repro.bench run --help`)")
     print("  study:<family> any study family (see `python -m repro.study "
-          "--list`)")
+          "--help`)")
     print("\nfault plans:")
     for name, knobs in FAULT_PLANS.items():
         print(f"  {name:<10}{knobs if knobs is not None else 'perfect fabric'}")

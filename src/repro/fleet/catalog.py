@@ -25,10 +25,7 @@ is a **matrix** document — the cross product of axis lists::
     }
 
 ``load_catalog`` accepts a path to such a JSON document or the name of a
-built-in matrix (``smoke``, ``coll16``, ``scaling``).  Catalogs can also
-ingest the machine-readable family listing of ``python -m repro.study
---list`` (:meth:`Catalog.from_family_listing`), which turns every study
-family into a ``study:<family>`` spec.
+built-in matrix (``smoke``, ``coll16``, ``scaling``).
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "SPEC_SCHEMA",
@@ -181,27 +178,6 @@ class Catalog:
 
     def __iter__(self):
         return iter(self.specs)
-
-    @classmethod
-    def from_family_listing(
-        cls, text: str, nodes: int = 16, seed: int = 1998
-    ) -> "Catalog":
-        """Ingest ``python -m repro.study --list`` output.
-
-        Each non-empty line is ``name<TAB>description``; every family
-        becomes a ``study:<name>`` spec, so the whole study registry can
-        be fanned out by the fleet in one command.
-        """
-        specs = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            family = line.split("\t", 1)[0].strip()
-            specs.append(
-                make_spec(f"study:{family}", nodes=nodes, seed=seed)
-            )
-        return cls(name="study-families", specs=specs)
 
 
 def _axis(matrix: Dict, key: str, default: list) -> list:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import ExperimentSpec
-from .store import RECORD_SCHEMA, RunStore
+from .store import RECORD_SCHEMA, RunStore, code_version
 from .workloads import FleetResult, resolve_workload
 
 __all__ = ["RunOutcome", "build_record", "execute_spec", "run_specs"]
@@ -55,7 +55,6 @@ def build_record(
     No wall-clock fields anywhere: the record is a pure function of the
     spec and the code, so re-runs reproduce it byte-for-byte.
     """
-    from .. import __version__
     from ..bench.core import make_entry
     from ..telemetry.export import to_chrome_trace
 
@@ -64,7 +63,7 @@ def build_record(
         "schema": RECORD_SCHEMA,
         "fingerprint": fingerprint,
         "spec": spec.to_json(),
-        "code_version": __version__,
+        "code_version": code_version(),
         "workload": spec.workload,
         "unit": result.unit,
         "virtual_end_us": result.virtual_end_us,

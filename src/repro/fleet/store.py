@@ -6,8 +6,9 @@ DESIGN.md §15) plus its sidecars — the Chrome trace, the postmortem dump,
 the rendered report.  The record is written **last** and atomically
 (temp file + ``os.replace``), so its presence is the commit marker: a
 crash mid-run leaves sidecars without a record, which :meth:`RunStore.status`
-reports as a miss, and a truncated, hand-edited or other-version
-record fails validation and is re-run rather than served.
+reports as a miss, and a truncated, hand-edited or stale record (one
+whose :func:`code_version` differs from the running code's) fails
+validation and is re-run rather than served.
 
 Records carry no wall-clock fields and every run is deterministic, so a
 re-run of an unchanged spec reproduces the record **byte-for-byte** —
@@ -16,6 +17,8 @@ the property the resumability tests pin.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -28,6 +31,7 @@ __all__ = [
     "StoreError",
     "RunStore",
     "dumps_record",
+    "code_version",
 ]
 
 #: Schema version of record.json documents.
@@ -39,6 +43,26 @@ _REQUIRED = ("schema", "fingerprint", "spec", "code_version", "workload")
 
 class StoreError(ValueError):
     """A record is missing, unreadable, or fails validation."""
+
+
+@functools.lru_cache(maxsize=None)
+def code_version() -> str:
+    """``repro.__version__`` plus ``+`` and 12 hex digits hashing every
+    ``.py`` file of the package (path and bytes), so an edit that leaves
+    the version alone still makes older records stale."""
+    from .. import __version__
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(n for n in filenames if n.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                source = fh.read()
+            relative = os.path.relpath(path, root).replace(os.sep, "/")
+            digest.update(f"{relative}\0{len(source)}\0".encode() + source)
+    return f"{__version__}+{digest.hexdigest()[:12]}"
 
 
 def dumps_record(record: Dict) -> str:
@@ -120,14 +144,12 @@ class RunStore:
                 f"unsupported record schema {record['schema']!r} "
                 f"(expected {RECORD_SCHEMA})"
             )
-        # A record from another code version may hold different results:
-        # re-run it rather than serve it.
-        from .. import __version__
-
-        if record["code_version"] != __version__:
+        # A record from other code may hold different results: re-run it
+        # rather than serve it.
+        if record["code_version"] != code_version():
             raise StoreError(
                 f"record from code version {record['code_version']!r}, "
-                f"not {__version__!r}: stale record"
+                f"not {code_version()!r}: stale record"
             )
         if record["fingerprint"] != fingerprint:
             raise StoreError(

@@ -9,8 +9,11 @@ it, and ``repro.obs scrape`` and ``repro.study coll`` call the same
 programs (:func:`spawn_stream`, :func:`spawn_nx_coll`) on machines they
 build.
 
-* ``app`` — a study-suite application (``app=NAME``, ``mode=au|du``);
-  one sample, its elapsed time, attributing every top-level operation.
+* ``app`` — a study-suite application (``app=NAME``, ``mode=au|du``,
+  what-if ``config=NAME``, SVM ``protocol=...``, ``combine=1``); one
+  sample, its elapsed time, with breakdown and counters in ``metrics``.
+  Every top-level operation is attributed unless ``observe=0``, which
+  runs on a plain machine, as the study tables do.
 * ``coll`` — ``ops`` collectives on ``spec.nodes`` ranks: ``api=nx``
   (default) runs NX barriers after a warm-up one, ``mode`` placing the
   barrier; ``api=coll`` drives :class:`repro.coll.CollWorld` directly
@@ -23,7 +26,8 @@ build.
 * ``shard`` — the large-mesh packet model (:mod:`repro.shard`); samples
   are per-delivery latencies, independent of the worker count.
 * ``bench:<name>`` — a :mod:`repro.bench` entry's spec at ``spec.seed``.
-* ``study:<family>`` — a :data:`repro.study.__main__.FAMILIES` report.
+* ``study:<family>`` — a :data:`repro.study.__main__.FAMILIES` report,
+  rendered in-process (its app runs one after another).
 
 Span samples drop each node's cold first op.  Platforms come from
 :mod:`repro.study.platforms`; fault plans are the named entries of
@@ -49,6 +53,7 @@ __all__ = [
     "spawn_coll_ops",
     "resolve_workload",
     "workload_names",
+    "app_result",
 ]
 
 
@@ -128,11 +133,13 @@ def _fault_config(spec) -> Optional[object]:
     return FaultConfig(**knobs)
 
 
-def _machine(spec, num_nodes: int, params=None):
+def _machine(spec, num_nodes: int, params=None, nic_config=None,
+             observe: bool = True):
     """A telemetry-armed, monitor-armed machine for one spec.
 
-    ``params`` overrides the platform's machine parameters (suite
-    applications carry their own).
+    ``params``/``nic_config`` override the platform's (suite applications
+    carry their own parameters and what-if NIC configurations);
+    ``observe=False`` arms neither observer.
     """
     from ..node import Machine
     from ..study.platforms import (
@@ -143,9 +150,9 @@ def _machine(spec, num_nodes: int, params=None):
     )
 
     if spec.platform == "shrimp":
-        platform_params, nic_config = shrimp_params(), shrimp_nic_config()
+        platform_params, platform_nic = shrimp_params(), shrimp_nic_config()
     elif spec.platform == "myrinet":
-        platform_params, nic_config = myrinet_params(), myrinet_nic_config()
+        platform_params, platform_nic = myrinet_params(), myrinet_nic_config()
     else:
         raise ValueError(
             f"unknown platform {spec.platform!r}; choose from {PLATFORMS}"
@@ -153,12 +160,13 @@ def _machine(spec, num_nodes: int, params=None):
     machine = Machine(
         num_nodes=num_nodes,
         params=params or platform_params,
-        nic_config=nic_config,
+        nic_config=nic_config or platform_nic,
         seed=spec.seed,
         fault_config=_fault_config(spec),
-        telemetry=True,
+        telemetry=observe,
     )
-    machine.enable_monitor()
+    if observe:
+        machine.enable_monitor()
     return machine
 
 
@@ -416,23 +424,73 @@ def _run_serve(spec) -> FleetResult:
 
 def _run_app(spec) -> FleetResult:
     from ..apps.base import run_app
+    from ..study.configs import config
     from ..study.suite import spec as app_spec
 
     _require_defaults(spec, nodes_free=True)
-    app = app_spec(str(spec.param("app")))
-    machine = _machine(spec, spec.nodes, params=app.params)
-    mode = str(spec.param("mode", app.best_mode))
-    run = run_app(app.factory(mode), spec.nodes, machine=machine)
-    agg = critpath.aggregate(machine.telemetry, None, top=0)
-    return FleetResult(
+    suite_app = app_spec(str(spec.param("app")))
+    app = suite_app.factory(str(spec.param("mode", suite_app.best_mode)))
+    if spec.param("protocol") is not None:
+        if not hasattr(app, "protocol_name"):
+            raise ValueError(
+                f"{suite_app.name} is not an SVM application; no protocol "
+                "override possible"
+            )
+        app.protocol_name = str(spec.param("protocol"))
+    if spec.param("combine", False):
+        if hasattr(app, "svm_kwargs"):
+            app.svm_kwargs = {"au_combine": True}
+        elif hasattr(app, "au_combine"):
+            app.au_combine = True
+        else:
+            raise ValueError(f"{suite_app.name} has no AU combining knob")
+    experiment = config(str(spec.param("config", "baseline")))
+    observe = bool(spec.param("observe", True))
+    machine = _machine(spec, spec.nodes, experiment.params(suite_app.params),
+                       experiment.nic_config(), observe)
+    run = run_app(app, spec.nodes, machine=machine)
+    # The record format app_result() reads back.
+    metrics = {"elapsed_us": run.elapsed_us}
+    metrics.update(
+        (f"breakdown.{key}", value)
+        for key, value in run.breakdown.as_dict().items()
+    )
+    metrics.update((f"stats.{key}", value) for key, value in run.stats.items())
+    result = FleetResult(
         unit="us",
         higher_is_better=False,
         samples=[run.elapsed_us],
-        attribution=agg.components,
-        ops=agg.count,
-        telemetry=machine.telemetry,
-        monitor=machine.monitor,
         virtual_end_us=machine.now,
+        metrics=metrics,
+    )
+    if observe:
+        agg = critpath.aggregate(machine.telemetry, None, top=0)
+        result.attribution, result.ops = agg.components, agg.count
+        result.telemetry, result.monitor = machine.telemetry, machine.monitor
+    return result
+
+
+def app_result(spec, metrics: Dict[str, float]):
+    """The :class:`repro.apps.AppResult` of an ``app`` spec whose record
+    holds ``metrics``."""
+    from ..apps import AppResult
+    from ..sim import TimeBreakdown
+    from ..study.suite import spec as app_spec
+
+    suite_app = app_spec(str(spec.param("app")))
+    groups: Dict[str, Dict[str, float]] = {"breakdown": {}, "stats": {}}
+    for name, value in metrics.items():
+        group, _, key = name.partition(".")
+        if group in groups:
+            groups[group][key] = value
+    return AppResult(
+        app=suite_app.name,
+        api=suite_app.api,
+        mode=str(spec.param("mode", suite_app.best_mode)),
+        nprocs=spec.nodes,
+        elapsed_us=metrics["elapsed_us"],
+        breakdown=TimeBreakdown(**groups["breakdown"]),
+        stats=groups["stats"],
     )
 
 
@@ -525,8 +583,8 @@ def _run_bench(spec) -> FleetResult:
 
 
 def _run_study(spec) -> FleetResult:
-    from ..study import default_runner
     from ..study.__main__ import FAMILIES
+    from ..study.experiment import run_families
 
     _require_defaults(spec, nodes_free=True)
     family = spec.workload.split(":", 1)[1]
@@ -535,7 +593,12 @@ def _run_study(spec) -> FleetResult:
             f"unknown study family {family!r}; choose from {sorted(FAMILIES)}"
         )
     _description, _in_all, emitter = FAMILIES[family]
-    text = emitter(default_runner, spec.nodes)
+    # One worker: this may already be a fleet pool process.
+    (text,) = run_families(
+        {family: lambda runner: emitter(runner, spec.nodes)}, seed=spec.seed
+    ).values()
+    if isinstance(text, Exception):
+        raise text
     return FleetResult(
         unit="report",
         higher_is_better=False,
@@ -551,7 +614,9 @@ WORKLOADS: Dict[str, FleetWorkload] = {
     for workload in (
         FleetWorkload(
             "app",
-            "suite application elapsed time: app=NAME, mode=au|du",
+            "suite application elapsed time: app=NAME, mode=au|du, "
+            "config=NAME, protocol=hlrc|hlrc-au|aurc, combine=0|1, "
+            "observe=0|1",
             _run_app,
         ),
         FleetWorkload(

@@ -5,25 +5,26 @@ Usage::
     python -m repro.study [FAMILY] [--nodes N]
 
 ``python -m repro.study --help`` lists every family with a one-line
-description; ``--list`` prints the same registry as machine-readable
-``name<TAB>description`` lines for the fleet catalog to ingest.  A
-family that raises is reported on stderr and reflected in a non-zero
-exit status.  ``all`` regenerates the paper-grounded families only;
-growth-direction families (``serve``, ``coll``, ``largemesh``) are
-excluded so that the output of ``all`` stays byte-stable as new families
-are added — run them by name.
+description.  The selected families' app runs are planned first, then
+run once each on as many processes as this process may use
+(:func:`repro.study.experiment.run_families`).  A family that raises, or
+that reads a run that failed, is reported on stderr, prints nothing,
+and makes the exit status non-zero.  ``all`` regenerates the
+paper-grounded families only; growth-direction families (``serve``,
+``coll``, ``largemesh``) are excluded so that the output of ``all``
+stays byte-stable as new families are added — run them by name.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
 from . import (
     coll_study,
     combining_study,
-    default_runner,
     figure3,
     figure4_du_au,
     figure4_svm,
@@ -46,6 +47,7 @@ from . import (
     queueing_study,
     serving_study,
     reliability_study,
+    run_families,
     run_microbenchmarks,
     table1,
     table2,
@@ -187,32 +189,24 @@ def main(argv=None) -> int:
         help="which family to regenerate (default: all)",
     )
     parser.add_argument("--nodes", type=int, default=16)
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="print the family registry as machine-readable "
-        "name<TAB>description lines (no families are run); the fleet "
-        "catalog ingests this format (repro.fleet.Catalog"
-        ".from_family_listing)",
-    )
     args = parser.parse_args(argv)
-    if args.list:
-        for name, (description, _in_all, _emitter) in FAMILIES.items():
-            print(f"{name}\t{description}")
-        return 0
-    runner = default_runner
+    selected = {
+        name: (lambda runner, emitter=emitter: emitter(runner, args.nodes))
+        for name, (_description, in_all, emitter) in FAMILIES.items()
+        if args.what == name or (args.what == "all" and in_all)
+    }
+    workers = len(os.sched_getaffinity(0))
     emit = []
     failures = []
-    for name, (_description, in_all, emitter) in FAMILIES.items():
-        if args.what == name or (args.what == "all" and in_all):
-            try:
-                emit.append(emitter(runner, args.nodes))
-            except Exception:  # noqa: BLE001 - reported, reflected in exit
-                failures.append(name)
-                print(
-                    f"family {name} raised:\n{traceback.format_exc()}",
-                    file=sys.stderr,
-                )
+    for name, value in run_families(selected, workers=workers).items():
+        if isinstance(value, Exception):
+            failures.append(name)
+            trace = "".join(traceback.format_exception(
+                type(value), value, value.__traceback__
+            ))
+            print(f"family {name} raised:\n{trace}", file=sys.stderr)
+        else:
+            emit.append(value)
     print("\n\n".join(emit))
     if failures:
         print(

@@ -13,10 +13,10 @@ and Barnes-NX.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..sim import BREAKDOWN_CATEGORIES
-from .experiment import ExperimentRunner, default_runner
+from .experiment import ExperimentRunner
 from .report import format_series, format_table
 
 __all__ = [
@@ -44,11 +44,10 @@ FIGURE4_PAPER_IMPROVEMENT = {
 
 
 def figure3(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     node_counts: Sequence[int] = (1, 2, 4, 8, 16),
 ) -> Dict[str, List[tuple]]:
     """Speedup curves; returns {app: [(nprocs, speedup), ...]}."""
-    runner = runner or default_runner
     curves: Dict[str, List[tuple]] = {}
     for app, mode in FIGURE3_APPS.items():
         points = []
@@ -68,11 +67,8 @@ def format_figure3(curves: Dict[str, List[tuple]]) -> str:
     )
 
 
-def figure4_svm(
-    runner: Optional[ExperimentRunner] = None, nprocs: int = 16
-) -> List[dict]:
+def figure4_svm(runner: ExperimentRunner, nprocs: int = 16) -> List[dict]:
     """The HLRC / HLRC-AU / AURC comparison with time breakdowns."""
-    runner = runner or default_runner
     rows = []
     for app in ("Barnes-SVM", "Ocean-SVM", "Radix-SVM"):
         base_elapsed = None
@@ -112,11 +108,8 @@ def format_figure4_svm(rows: List[dict]) -> str:
     )
 
 
-def figure4_du_au(
-    runner: Optional[ExperimentRunner] = None, nprocs: int = 16
-) -> List[dict]:
+def figure4_du_au(runner: ExperimentRunner, nprocs: int = 16) -> List[dict]:
     """Automatic vs deliberate update for the non-SVM comparison apps."""
-    runner = runner or default_runner
     rows = []
     for app in ("Radix-VMMC", "Ocean-NX", "Barnes-NX"):
         du = runner.run(app, nprocs, mode="du")

@@ -8,13 +8,11 @@ companion that renders the paper-style table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
-from .configs import CONFIGS
-from .experiment import ExperimentRunner, default_runner
+from .experiment import ExperimentRunner
 from .report import format_table
-from .suite import SUITE, spec
+from .suite import SUITE
 
 __all__ = [
     "table1", "format_table1",
@@ -47,9 +45,8 @@ TABLE4_PAPER = {
 # Table 1: application characteristics
 # --------------------------------------------------------------------------
 
-def table1(runner: Optional[ExperimentRunner] = None) -> List[dict]:
+def table1(runner: ExperimentRunner) -> List[dict]:
     """App, API, problem size, and sequential (1-node) execution time."""
-    runner = runner or default_runner
     rows = []
     for name, app_spec in SUITE.items():
         result = runner.run(name, 1)
@@ -93,8 +90,7 @@ TABLE2_APPS = {
 }
 
 
-def table2(runner: Optional[ExperimentRunner] = None, nprocs: int = 16) -> List[dict]:
-    runner = runner or default_runner
+def table2(runner: ExperimentRunner, nprocs: int = 16) -> List[dict]:
     rows = []
     for name, mode in TABLE2_APPS.items():
         increase = runner.slowdown_percent(name, nprocs, "kernel_send", mode=mode)
@@ -120,8 +116,7 @@ def format_table2(rows: List[dict]) -> str:
 # Table 3: notifications vs total messages
 # --------------------------------------------------------------------------
 
-def table3(runner: Optional[ExperimentRunner] = None, nprocs: int = 16) -> List[dict]:
-    runner = runner or default_runner
+def table3(runner: ExperimentRunner, nprocs: int = 16) -> List[dict]:
     rows = []
     for name in SUITE:
         result = runner.run(name, nprocs)
@@ -165,8 +160,7 @@ TABLE4_MODES = {
 }
 
 
-def table4(runner: Optional[ExperimentRunner] = None, nprocs: int = 16) -> List[dict]:
-    runner = runner or default_runner
+def table4(runner: ExperimentRunner, nprocs: int = 16) -> List[dict]:
     rows = []
     for name in SUITE:
         # The paper measures Barnes-NX at 8 nodes (footnote of Table 4).
@@ -197,9 +191,7 @@ def format_table4(rows: List[dict]) -> str:
 # Section 4.5.1: automatic-update combining
 # --------------------------------------------------------------------------
 
-def combining_study(
-    runner: Optional[ExperimentRunner] = None, nprocs: int = 16
-) -> List[dict]:
+def combining_study(runner: ExperimentRunner, nprocs: int = 16) -> List[dict]:
     """Combining enabled vs disabled for the sparse-AU apps, plus DFS
     forced onto AU.
 
@@ -208,23 +200,11 @@ def combining_study(
     for DFS when forced to use AU without combining (bulk transfers are
     ideal combining targets).
     """
-    from ..apps import run_app
-    from .suite import spec as get_spec
-
-    runner = runner or default_runner
     rows = []
     for name in ("Radix-VMMC", "Radix-SVM", "Ocean-SVM", "Barnes-SVM"):
-        app_spec = get_spec(name)
-        elapsed = {}
-        for combine in (True, False):
-            app = app_spec.factory("au")
-            if hasattr(app, "svm_kwargs"):
-                app.svm_kwargs = {"au_combine": combine}
-            else:
-                app.au_combine = combine
-            result = run_app(app, nprocs, params=app_spec.params)
-            elapsed[combine] = result.elapsed_us
-        effect = (elapsed[False] / elapsed[True] - 1.0) * 100.0
+        with_combining = runner.run(name, nprocs, mode="au", combine=True)
+        without = runner.run(name, nprocs, mode="au")
+        effect = (without.elapsed_us / with_combining.elapsed_us - 1.0) * 100.0
         rows.append({"app": f"{name} (AU)", "effect_pct": effect,
                      "paper": "<1%"})
     # DFS on the AU transport, with and without combining.
@@ -256,13 +236,10 @@ def format_combining_study(rows: List[dict]) -> str:
 FIFO_APPS = ["Radix-SVM", "Ocean-SVM", "Radix-VMMC", "Ocean-NX"]
 
 
-def fifo_study(
-    runner: Optional[ExperimentRunner] = None, nprocs: int = 16
-) -> List[dict]:
+def fifo_study(runner: ExperimentRunner, nprocs: int = 16) -> List[dict]:
     """1 KB vs 32 KB outgoing FIFO: the paper found no detectable
     difference (applications have low enough communication volume and the
     bus arbitration already throttles automatic update)."""
-    runner = runner or default_runner
     rows = []
     for name in FIFO_APPS:
         small = runner.run(name, nprocs, "fifo_1k", mode="au")
@@ -302,16 +279,13 @@ def format_fifo_study(rows: List[dict]) -> str:
 QUEUE_APPS = ["Radix-SVM", "Ocean-SVM", "Barnes-SVM"]
 
 
-def queueing_study(
-    runner: Optional[ExperimentRunner] = None, nprocs: int = 16
-) -> List[dict]:
+def queueing_study(runner: ExperimentRunner, nprocs: int = 16) -> List[dict]:
     """2-deep DU request queue vs none, on the small-transfer SVM apps.
 
     The paper expected SVM to benefit most and measured <1%: the memory
     bus cannot cycle-share, so a queued transfer still serializes against
     the CPU on the bus.
     """
-    runner = runner or default_runner
     rows = []
     for name in QUEUE_APPS:
         base = runner.run(name, nprocs, "baseline", mode="du")

@@ -133,23 +133,6 @@ def test_catalog_dedups_by_fingerprint_and_bad_names_rejected():
         expand_matrix({"name": "empty"})
 
 
-def test_catalog_ingests_study_family_listing():
-    from repro.study.__main__ import FAMILIES
-
-    listing = "\n".join(
-        f"{name}\t{description}"
-        for name, (description, _in_all, _e) in FAMILIES.items()
-    )
-    catalog = Catalog.from_family_listing(listing, nodes=8)
-    assert len(catalog) == len(FAMILIES)
-    assert all(s.workload.startswith("study:") for s in catalog)
-    assert catalog.specs[0].workload == "study:micro"
-    assert catalog.specs[0].nodes == 8
-    # Every ingested family resolves to a runnable fleet workload.
-    for spec in catalog:
-        resolve_workload(spec.workload)
-
-
 def test_builtin_matrices_and_workload_registry_expand():
     for name in BUILTIN_MATRICES:
         assert len(load_catalog(name)) > 0
@@ -392,6 +375,45 @@ def test_stale_code_version_record_is_rerun_not_served(tmp_path):
         store.load(SPEC_NX.fingerprint)
     assert [o.status for o in run_specs([SPEC_NX], store)] == ["reran"]
     assert _record_bytes(store, SPEC_NX.fingerprint) == good
+
+
+def test_record_from_edited_sources_is_stale(tmp_path):
+    """``code_version`` hashes the package sources: the same version
+    with one source byte changed must re-run, not serve, an older
+    record."""
+    import shutil
+
+    from repro.fleet.store import code_version
+
+    spec = make_spec("micro", measure="du_word_latency")
+    store = RunStore(str(tmp_path / "runs"))
+    run_specs([spec], store)
+    assert code_version().startswith(repro.__version__ + "+")
+    package = os.path.dirname(repro.__file__)
+    copy = tmp_path / "src" / "repro"
+    shutil.copytree(package, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "fleet" / "store.py", "a", encoding="utf-8") as fh:
+        fh.write("#")
+    script = textwrap.dedent(f"""
+        import repro
+        from repro.fleet import RunStore, make_spec, run_specs
+        from repro.fleet.store import code_version
+        assert repro.__file__.startswith({str(copy)!r}), repro.__file__
+        spec = make_spec("micro", measure="du_word_latency")
+        store = RunStore({store.root!r})
+        print(code_version(), store.status(spec),
+              run_specs([spec], store)[0].status)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.split()
+    assert out[0] != code_version()
+    assert out[0].startswith(repro.__version__ + "+")
+    assert out[1:] == ["invalid", "reran"]
+    assert store.status(spec) == "invalid"  # now from the edited tree
 
 
 # -- the workload registry -----------------------------------------------

@@ -13,6 +13,7 @@ from repro.study import (
     format_figure3,
     format_table,
     format_table1,
+    run_families,
     spec,
     table1,
 )
@@ -55,8 +56,21 @@ def test_spec_lookup():
         spec("Linpack")
 
 
+def _served(family, workers=1):
+    """``family(runner)`` rendered through the plan-then-replay path."""
+    (value,) = run_families({"family": family}, workers=workers).values()
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 def test_runner_caches_identical_runs():
-    runner = ExperimentRunner()
+    planner = ExperimentRunner()
+    planner.run("Radix-VMMC", 2)
+    planner.run("Radix-VMMC", 2, mode="au")  # its best mode: the same run
+    planner.run("Radix-VMMC", 2, "kernel_send")
+    assert planner.requests == 3 and len(planner.planned) == 2
+    runner = planner.execute()
     first = runner.run("Radix-VMMC", 2)
     second = runner.run("Radix-VMMC", 2)
     assert first is second
@@ -65,36 +79,44 @@ def test_runner_caches_identical_runs():
 
 
 def test_runner_mode_and_protocol_selection():
-    runner = ExperimentRunner()
-    au = runner.run("Radix-VMMC", 2, mode="au")
-    du = runner.run("Radix-VMMC", 2, mode="du")
-    assert au is not du
-    hlrc = runner.run("Radix-SVM", 2, protocol="hlrc")
-    aurc = runner.run("Radix-SVM", 2, protocol="aurc")
-    assert hlrc.elapsed_us != aurc.elapsed_us or hlrc is not aurc
+    au, du, hlrc, aurc = _served(lambda runner: (
+        runner.run("Radix-VMMC", 2, mode="au"),
+        runner.run("Radix-VMMC", 2, mode="du"),
+        runner.run("Radix-SVM", 2, protocol="hlrc"),
+        runner.run("Radix-SVM", 2, protocol="aurc"),
+    ))
+    assert (au.mode, du.mode) == ("au", "du")
+    assert au.elapsed_us != du.elapsed_us
+    # HLRC runs the DU variant, the AU protocols the AU one.
+    assert (hlrc.mode, aurc.mode) == ("du", "au")
+    assert hlrc.elapsed_us != aurc.elapsed_us
 
 
 def test_runner_protocol_rejected_for_non_svm():
-    runner = ExperimentRunner()
-    with pytest.raises(ValueError):
-        runner.run("Radix-VMMC", 2, protocol="aurc")
+    from repro.fleet import make_spec, resolve_workload
+
+    with pytest.raises(ValueError, match="not an SVM application"):
+        resolve_workload("app").run(
+            make_spec("app", nodes=2, app="Radix-VMMC", protocol="aurc")
+        )
+    with pytest.raises(RuntimeError, match="not an SVM application"):
+        _served(lambda runner: runner.run("Radix-VMMC", 2, protocol="aurc"))
 
 
 def test_slowdown_percent_sign():
-    runner = ExperimentRunner()
-    slow = runner.slowdown_percent("Radix-VMMC", 2, "kernel_send", mode="du")
+    slow = _served(lambda runner: runner.slowdown_percent(
+        "Radix-VMMC", 2, "kernel_send", mode="du"
+    ))
     assert slow > 0  # syscalls can only slow a run down
 
 
 def test_speedup_definition():
-    runner = ExperimentRunner()
-    speedup = runner.speedup("Barnes-NX", 2, mode="du")
+    speedup = _served(lambda runner: runner.speedup("Barnes-NX", 2, mode="du"))
     assert speedup > 1.0
 
 
 def test_table1_runs_at_small_scale():
-    runner = ExperimentRunner()
-    rows = table1(runner)
+    rows = _served(table1)
     assert {r["app"] for r in rows} == set(SUITE)
     assert all(r["seq_time_ms"] > 0 for r in rows)
     text = format_table1(rows)
@@ -103,8 +125,7 @@ def test_table1_runs_at_small_scale():
 
 
 def test_figure_generators_shape():
-    runner = ExperimentRunner()
-    curves = figure3(runner, node_counts=(1, 2))
+    curves = _served(lambda runner: figure3(runner, node_counts=(1, 2)))
     assert set(curves) == {
         "Ocean-NX", "Radix-VMMC", "Barnes-NX", "Radix-SVM", "Ocean-SVM",
         "Barnes-SVM",
@@ -116,14 +137,60 @@ def test_figure_generators_shape():
 
 
 def test_figure4_rows_structure():
-    runner = ExperimentRunner()
-    rows = figure4_svm(runner, nprocs=2)
+    rows, du_au = _served(lambda runner: (
+        figure4_svm(runner, nprocs=2), figure4_du_au(runner, nprocs=2)
+    ))
     assert len(rows) == 9  # 3 apps x 3 protocols
     protocols = [r["protocol"] for r in rows[:3]]
     assert protocols == ["hlrc", "hlrc-au", "aurc"]
     assert rows[0]["normalized"] == pytest.approx(1.0)
-    du_au = figure4_du_au(runner, nprocs=2)
     assert {r["app"] for r in du_au} == {"Radix-VMMC", "Ocean-NX", "Barnes-NX"}
+
+
+def test_replay_runner_raises_on_unplanned_spec():
+    runner = ExperimentRunner(results={})
+    with pytest.raises(LookupError, match="not planned"):
+        runner.run("Radix-VMMC", 2)
+
+
+def test_families_render_identically_at_one_and_two_workers():
+    from repro.study import format_queueing_study, queueing_study
+
+    families = {
+        "table1": lambda runner: format_table1(table1(runner)),
+        "queueing": lambda runner: format_queueing_study(
+            queueing_study(runner, 4)
+        ),
+    }
+    serial = run_families(families, workers=1)
+    assert all(isinstance(text, str) for text in serial.values())
+    assert run_families(families, workers=2) == serial
+
+
+def test_combine_param_changes_radix_vmmc_and_default_does_not():
+    """``combine=1`` turns AU combining on; without it the app runs with
+    combining off, exactly as when the knob is set off by hand."""
+    from repro.apps import run_app
+    from repro.fleet import make_spec, resolve_workload
+
+    app = resolve_workload("app")
+
+    def run(**params):
+        return app.run(make_spec(
+            "app", nodes=4, app="Radix-VMMC", mode="au", observe=False,
+            **params,
+        )).metrics
+
+    default = run()
+    radix = spec("Radix-VMMC").factory("au")
+    radix.au_combine = False
+    by_hand = run_app(radix, 4, params=spec("Radix-VMMC").params)
+    assert default["elapsed_us"] == by_hand.elapsed_us
+    assert {
+        name[len("stats."):]: value
+        for name, value in default.items() if name.startswith("stats.")
+    } == by_hand.stats
+    assert run(combine=True)["elapsed_us"] != default["elapsed_us"]
 
 
 def test_report_formatting():
@@ -201,23 +268,6 @@ def test_coll_study_cell_and_formatting():
     assert "tree-nic" in text and "tree-host" in text
 
 
-def test_cli_list_prints_machine_readable_registry(capsys):
-    """--list emits one name<TAB>description line per family, runs
-    nothing, and exits 0 — the format the fleet catalog ingests."""
-    from repro.study.__main__ import FAMILIES, main
-
-    assert main(["--list"]) == 0
-    out = capsys.readouterr().out
-    lines = [line for line in out.splitlines() if line.strip()]
-    assert len(lines) == len(FAMILIES)
-    for line, (name, (description, _in_all, _e)) in zip(
-        lines, FAMILIES.items()
-    ):
-        family, _, text = line.partition("\t")
-        assert family == name
-        assert text == description
-
-
 def test_cli_exits_nonzero_when_a_family_raises(capsys, monkeypatch):
     """A raising family is reported on stderr with a traceback and turns
     the exit status non-zero; the other families still run."""
@@ -238,6 +288,36 @@ def test_cli_exits_nonzero_when_a_family_raises(capsys, monkeypatch):
     assert "FAILED family: micro" in captured.err
     # The healthy families still emitted their reports.
     assert "okay ran" in captured.out
+
+
+def test_cli_fails_only_the_families_that_read_a_failed_run(
+    capsys, monkeypatch
+):
+    """A run that errors fails every family reading it, prints none of
+    their output, and turns the exit status non-zero; families that do
+    not read it still print."""
+    from repro.study import __main__ as cli
+
+    families = {
+        "broken": (
+            "reads a run that fails", True,
+            lambda runner, nodes: str(
+                runner.run("Radix-VMMC", nodes, protocol="aurc")
+            ),
+        ),
+        "healthy": (
+            "reads a run that succeeds", True,
+            lambda runner, nodes: "healthy "
+            f"{runner.run('Radix-VMMC', nodes).elapsed_us > 0}",
+        ),
+    }
+    monkeypatch.setattr(cli, "FAMILIES", families)
+    assert cli.main(["all", "--nodes", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "family broken raised" in captured.err
+    assert "not an SVM application" in captured.err
+    assert "FAILED family: broken" in captured.err
+    assert captured.out == "healthy True\n"
 
 
 def test_cli_single_family_success_exits_zero(capsys):
