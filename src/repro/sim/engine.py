@@ -118,10 +118,9 @@ class Event:
 
     Cancelled waits (interrupts) are recorded as **tombstones** in
     ``_discarded`` rather than spliced out of the waiter list, so an
-    interrupt costs O(1) instead of an O(n) ``list.remove`` — interrupt
-    churn on heavily-waited events (reliable-transport retransmission
-    timers) stays linear overall.  The list is compacted once tombstones
-    reach half its length.
+    interrupt costs O(1) instead of an O(n) ``list.remove`` — repeated
+    interrupts of the waiters of one heavily-waited event stay linear
+    overall.  The list is compacted once tombstones reach half its length.
     """
 
     __slots__ = ("sim", "_value", "_triggered", "_waiters", "_discarded", "name")
@@ -338,13 +337,43 @@ class Simulator:
         proc = SimProcess(self, gen, name, daemon)
         if self.telemetry is not None:
             self.telemetry.instant("sim.spawn", -1, "sim", proc=proc.name)
+        self._register(proc)
+        self._immediate.append((next(self._seq), proc, None, None))
+        return proc
+
+    def start(self, gen: Generator, name: str = "") -> Optional[SimProcess]:
+        """Step a generator now, inside the current dispatch, as a process.
+
+        Where :meth:`spawn` queues the first step behind everything already
+        runnable at this instant, ``start`` runs it synchronously, so a
+        ``schedule`` callback can begin work at exactly its own place in
+        the ``(time, seq)`` order.  A generator that finishes without
+        yielding never becomes a process and ``None`` is returned;
+        otherwise the process is registered (as ``spawn`` registers it)
+        and its first request dispatched, and the process is returned.
+        """
+        proc = SimProcess(self, gen, name)
+        caller = self.current
+        self.current = proc
+        try:
+            request = proc._send(None)
+        except StopIteration:
+            return None
+        finally:
+            self.current = caller
+        if self.telemetry is not None:
+            self.telemetry.instant("sim.spawn", -1, "sim", proc=proc.name)
+        self._register(proc)
+        self._dispatch(proc, request)
+        self.current = caller  # _dispatch's error path clears it
+        return proc
+
+    def _register(self, proc: SimProcess) -> None:
         procs = self._processes
         procs.append(proc)
         if len(procs) >= self._prune_at:
             self._processes = procs = [p for p in procs if not p.done]
             self._prune_at = max(64, 2 * len(procs))
-        self._immediate.append((next(self._seq), proc, None, None))
-        return proc
 
     # -- internal resume machinery --------------------------------------
 

@@ -20,14 +20,12 @@ from ..node import Machine, NodeProcess
 from .buffers import ImportedBuffer, ReceiveBuffer
 from .errors import BindingError, ImportError_, PermissionError_, VMMCError
 from .notifications import Handler, NotificationDispatcher
-from .reliable import (
-    ReliableChannel,
-    ReliableConfig,
-    ReliableReceiverState,
-    make_ack_packet,
-)
+from .reliable import ReliableChannel, ReliableConfig, ReliableReceiverState
 
 __all__ = ["VMMCRuntime", "VMMCEndpoint", "AUBinding"]
+
+#: Ack size for a channel this runtime has no sender record of.
+_DEFAULT_ACK_BYTES = ReliableConfig().ack_bytes
 
 
 class AUBinding:
@@ -72,9 +70,12 @@ class VMMCRuntime:
         #: Reliable-mode sender channels, by channel id (machine-wide:
         #: channel ids are globally unique).
         self._reliable_senders: Dict[int, ReliableChannel] = {}
+        #: One zero payload per ack size, shared by every ack of that size.
+        self._ack_payloads: Dict[int, bytes] = {}
         self._export_announced = Signal(self.sim, "vmmc.export")
-        # Bound lazily on first counted message (hot delivery path).
+        # Bound lazily on first use (hot delivery path).
         self._messages_received_counter = None
+        self._acks_sent_counter = None
         for node in machine.nodes:
             state = _NodeState()
             self._node_state[node.node_id] = state
@@ -148,10 +149,20 @@ class VMMCRuntime:
 
     def _on_reliable_data(self, node_id: int, packet: Packet) -> bool:
         """Track in-order state and emit a cumulative ack; True = in order."""
-        state = self._node_state[node_id].reliable_rx.get(packet.channel)
+        channel = packet.channel
+        states = self._node_state[node_id].reliable_rx
+        state = states.get(channel)
         if state is None:
-            state = ReliableReceiverState(packet.channel, packet.src)
-            self._node_state[node_id].reliable_rx[packet.channel] = state
+            sender = self._reliable_senders.get(channel)
+            ack_bytes = (
+                sender.config.ack_bytes if sender is not None else _DEFAULT_ACK_BYTES
+            )
+            payload = self._ack_payloads.get(ack_bytes)
+            if payload is None:
+                payload = self._ack_payloads[ack_bytes] = bytes(ack_bytes)
+            state = states[channel] = ReliableReceiverState(
+                channel, packet.src, payload
+            )
         accepted = state.accept(packet.seq)
         if not accepted:
             if packet.seq < state.expected:
@@ -161,17 +172,20 @@ class VMMCRuntime:
                 self.stats.trace(
                     "vmmc.retx",
                     node_id,
-                    f"ch{packet.channel} gap: got seq{packet.seq}, "
+                    f"ch{channel} gap: got seq{packet.seq}, "
                     f"expected {state.expected}",
                 )
-        sender = self._reliable_senders.get(packet.channel)
-        ack_bytes = (
-            sender.config.ack_bytes if sender is not None else ReliableConfig().ack_bytes
-        )
-        ack = make_ack_packet(node_id, state, ack_bytes)
-        self.stats.count("vmmc.acks_sent")
+        ack = state.ack_packet(node_id)
+        counter = self._acks_sent_counter
+        if counter is None:
+            counter = self._acks_sent_counter = self.stats.counter("vmmc.acks_sent")
+        counter.value += 1
         nic = self.machine.nodes[node_id].nic
-        self.sim.spawn(nic.send_control(ack), f"ack.ch{packet.channel}")
+        # A process, not a schedule() callback: its packetize delay draws
+        # its sequence number when the process first runs.  Drawn here
+        # instead, it would precede a same-instant DU-engine packetize on
+        # this node, and the two would reach the arbiter in the other order.
+        self.sim.spawn(nic.send_control(ack), state.ack_name)
         return accepted
 
     def _on_notification(self, node_id: int, packet: Packet) -> None:

@@ -1,5 +1,7 @@
 """Tests for the reliable-delivery VMMC transport (repro.vmmc.reliable)."""
 
+import math
+
 import pytest
 
 from repro import Machine
@@ -242,3 +244,28 @@ def test_async_send_and_drain():
     sim.run()
     assert rx_proc.done and tx_proc.done
     assert out["bytes"] == 16 * 1024
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout_us", math.nan),
+        ("timeout_us", math.inf),
+        ("timeout_us", 0.0),
+        ("timeout_us", -1.0),
+        ("backoff", math.nan),
+        ("backoff", math.inf),
+        ("backoff", 0.5),
+    ],
+)
+def test_config_rejects_non_finite_and_out_of_range(field, value):
+    # A NaN timeout fails every deadline comparison, so a channel would
+    # burn all its retries in one instant; an infinite one never fires, so
+    # a lossy send would hang instead of raising DeliveryFailed.
+    with pytest.raises(ValueError, match=field):
+        ReliableConfig(**{field: value})
+
+
+def test_config_accepts_the_boundary_values():
+    config = ReliableConfig(timeout_us=1e-3, backoff=1.0, max_retries=0)
+    assert config.backoff == 1.0

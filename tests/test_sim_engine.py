@@ -213,6 +213,65 @@ def test_interrupt_done_process_is_noop():
     assert proc.result == 1
 
 
+def test_start_runs_first_step_inside_the_callback():
+    # A schedule() callback that starts a process: its first step runs at
+    # the callback's place in the order, ahead of a process already
+    # runnable at the same instant (spawn would queue it behind).
+    sim = Simulator()
+    order = []
+
+    def worker(tag):
+        order.append((tag, sim.now))
+        yield 1.0
+        order.append((tag + " resumed", sim.now))
+
+    def callback():
+        sim.spawn(worker("spawned"))
+        assert sim.start(worker("started"), "started") is not None
+        assert sim.current is None
+
+    sim.schedule(2.0, callback)
+    sim.run()
+    assert order == [
+        ("started", 2.0),
+        ("spawned", 2.0),
+        ("started resumed", 3.0),
+        ("spawned resumed", 3.0),
+    ]
+    assert sim.events_processed == 4  # callback, spawn, two resumes
+
+
+def test_start_without_a_yield_is_no_process():
+    sim = Simulator()
+    seen = []
+
+    def quick():
+        seen.append(sim.current)
+        return 1
+        yield  # pragma: no cover
+
+    assert sim.start(quick(), "quick") is None
+    assert seen[0] is not None and seen[0].name == "quick"
+    assert sim.current is None
+    assert sim.live_processes() == []
+
+
+def test_started_process_waits_on_its_first_event():
+    sim = Simulator()
+    event = sim.event()
+
+    def waiter():
+        value = yield event
+        return value, sim.now
+
+    proc = sim.start(waiter(), "waiter")
+    assert proc in sim.live_processes()
+    assert proc in [p for p, _ in sim.blocked_processes()]
+    sim.schedule(5.0, lambda: event.succeed("go"))
+    sim.run()
+    assert proc.result == ("go", 5.0)
+
+
 def test_run_until_stops_clock():
     sim = Simulator()
     fired = []
