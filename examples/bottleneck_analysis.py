@@ -13,7 +13,8 @@ Run::
 
     python examples/bottleneck_analysis.py
 
-``python -m repro.telemetry du-ping --attr`` is the CLI shortcut, and
+``python -m repro.explore show workload=ping,reliable=0`` shows a DU
+ping's attribution after ``python -m repro.fleet run --matrix demos``, and
 ``python -m repro.bench run`` records the same vectors for every curated
 benchmark so regressions can be localised, not just detected.
 """

@@ -17,12 +17,10 @@ Run::
     python examples/health_monitoring.py
 """
 
-from repro import FaultConfig, FaultPlan, Machine, ReliableConfig, VMMCRuntime
+from repro import Machine
+from repro.fleet.workloads import spawn_outage
 from repro.monitor import MonitorConfig
 from repro.vmmc import DeliveryFailed
-
-NBYTES = 2048
-OUTAGE_AT_US = 1_000.0
 
 
 def main() -> None:
@@ -36,35 +34,12 @@ def main() -> None:
         )
     )
 
-    # An empty fault config samples no random events; the outage window is
-    # pinned by hand so a *known* link dies at a known time.
-    plan = FaultPlan(FaultConfig(), seed=1998)
-    machine.install_fault_plan(plan)
-    plan.outages[(0, 1)] = [(OUTAGE_AT_US, float("inf"))]
+    # Node 0 streams two 2 KB messages to node 1 over a reliable channel;
+    # a hand-pinned fault plan kills link (0, 1) for good between them, so
+    # a *known* link dies at a known time (the fleet `monitor` workload's
+    # `outage` scenario runs the same program).
+    spawn_outage(machine)
 
-    vmmc = VMMCRuntime(machine)
-    sender = vmmc.endpoint(machine.create_process(0))
-    receiver = vmmc.endpoint(machine.create_process(1))
-
-    def receiver_side():
-        buffer = yield from receiver.export(NBYTES, name="outage.buf")
-        # Expects two messages; the second dies with the link, so this
-        # wait is still blocked when the run ends.
-        yield from receiver.wait_bytes(buffer, 2 * NBYTES)
-
-    def sender_side():
-        imported = yield from sender.import_buffer("outage.buf")
-        channel = sender.open_reliable(
-            imported, ReliableConfig(timeout_us=200.0, max_retries=4)
-        )
-        src = sender.alloc(NBYTES)
-        sender.poke(src, bytes(range(256)) * (NBYTES // 256))
-        yield from channel.send(src, NBYTES)   # lands before the outage
-        yield OUTAGE_AT_US + 100.0 - machine.sim.now
-        yield from channel.send(src, NBYTES)   # dies on the dead link
-
-    machine.sim.spawn(receiver_side(), "outage.rx")
-    machine.sim.spawn(sender_side(), "outage.tx")
     try:
         machine.sim.run()
     except DeliveryFailed as exc:

@@ -13,8 +13,10 @@ Run::
     python examples/profiling.py
 
 The study-suite applications profile the same way: pass a telemetry-enabled
-machine to ``run_app`` (see ``python -m repro.telemetry --help`` for the
-CLI version of this script).
+machine to ``run_app``.  From the command line, the fleet ``demos``
+matrix records traced pings and a traced suite application
+(``python -m repro.fleet run --matrix demos``, then
+``python -m repro.explore drill workload=ping,reliable=0``).
 """
 
 from repro import Machine, VMMCRuntime

@@ -38,7 +38,7 @@ from .vmmc import (
     VMMCRuntime,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Machine",

@@ -113,17 +113,7 @@ def _cmd_compare(args) -> int:
     )
     print(render_comparison(comparison))
     if args.json_out:
-        import json
-
-        from ..telemetry.export import ensure_parent_dir
-
-        with open(
-            ensure_parent_dir(args.json_out), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(
-                comparison_to_json(comparison), fh, indent=2, sort_keys=True
-            )
-            fh.write("\n")
+        write_bench(comparison_to_json(comparison), args.json_out)
         print(f"\nwrote {args.json_out}")
     if args.github_annotations:
         for delta in comparison.regressions:

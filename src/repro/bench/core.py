@@ -162,7 +162,8 @@ def run_benchmarks(
 
 
 def write_bench(doc: Dict, path: str) -> str:
-    """Serialize a bench document (sorted keys, stable floats)."""
+    """Serialize a bench document, or any JSON document the CLIs write
+    (sorted keys, stable floats, parent directories created)."""
     from ..telemetry.export import ensure_parent_dir
 
     with open(ensure_parent_dir(path), "w", encoding="utf-8") as fh:

@@ -25,10 +25,10 @@ Commands (all take ``--store DIR``, default ``runs``):
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..bench.compare import comparison_to_json, render_comparison
+from ..bench.core import write_bench
 from ..fleet.store import RunStore
 from .core import (
     attr_diff,
@@ -123,16 +123,7 @@ def main(argv=None) -> int:
             )
             print(render_comparison(comparison))
             if args.json_out:
-                from ..telemetry.export import ensure_parent_dir
-
-                with open(
-                    ensure_parent_dir(args.json_out), "w", encoding="utf-8"
-                ) as fh:
-                    json.dump(
-                        comparison_to_json(comparison), fh,
-                        indent=2, sort_keys=True,
-                    )
-                    fh.write("\n")
+                write_bench(comparison_to_json(comparison), args.json_out)
                 print(f"\nwrote {args.json_out}")
         elif args.command == "attr-diff":
             print(attr_diff(store, args.base, args.new))
@@ -145,16 +136,10 @@ def main(argv=None) -> int:
                 filters[key] = value
             print(trend_table(store, args.workload, x=args.x, filters=filters))
             if args.json_out:
-                from ..telemetry.export import ensure_parent_dir
-
-                doc = trend_rows(
-                    store, args.workload, x=args.x, filters=filters
+                write_bench(
+                    trend_rows(store, args.workload, x=args.x, filters=filters),
+                    args.json_out,
                 )
-                with open(
-                    ensure_parent_dir(args.json_out), "w", encoding="utf-8"
-                ) as fh:
-                    json.dump(doc, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
                 print(f"\nwrote {args.json_out}")
         elif args.command == "drill":
             print(drill(store, args.ref))

@@ -6,6 +6,10 @@ specs from the run store as cache hits::
 
     python -m repro.fleet run --matrix smoke --workers 2
     python -m repro.fleet run --matrix experiments.json --workers 4 --store runs
+    python -m repro.fleet run --matrix demos   # traces, trip reports
+
+A malformed catalog ends with ``error: ...`` naming the bad field and
+exit status 2.
 
 ``list`` prints the expanded specs and their fingerprints without
 running anything; ``workloads`` prints the registered workloads and
@@ -125,11 +129,15 @@ def _cmd_workloads() -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "list":
-        return _cmd_list(args)
-    return _cmd_workloads()
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "list":
+            return _cmd_list(args)
+        return _cmd_workloads()
+    except ValueError as exc:  # a bad catalog: name the field, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

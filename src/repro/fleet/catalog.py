@@ -25,7 +25,8 @@ is a **matrix** document — the cross product of axis lists::
     }
 
 ``load_catalog`` accepts a path to such a JSON document or the name of a
-built-in matrix (``smoke``, ``coll16``, ``scaling``).
+built-in matrix (``smoke``, ``coll16``, ``scaling``, ``largemesh``,
+``demos``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ __all__ = [
 
 #: Versioned into every fingerprint: bump to invalidate all cached runs.
 SPEC_SCHEMA = 1
+
+#: The JSON type of each spec field but ``params``.
+_FIELD_TYPES = (("workload", str), ("platform", str), ("fault_plan", str),
+                ("nodes", int), ("seed", int))
 
 #: JSON scalar types allowed as spec parameter values (content-hashable).
 _SCALARS = (str, int, float, bool)
@@ -74,6 +79,13 @@ class ExperimentSpec:
     params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(
+                    f"spec field {name!r} must be a JSON {kind.__name__}, "
+                    f"got {value!r}"
+                )
         for key, value in self.params:
             if not isinstance(key, str) or not isinstance(value, _SCALARS):
                 raise ValueError(
@@ -103,16 +115,26 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, doc: Dict) -> "ExperimentSpec":
+        if not isinstance(doc, dict) or "workload" not in doc:
+            raise ValueError(
+                "a spec must be a JSON object with a 'workload' field, "
+                f"got {type(doc).__name__} {doc!r:.60}"
+            )
         schema = doc.get("schema", SPEC_SCHEMA)
         if schema != SPEC_SCHEMA:
             raise ValueError(f"unsupported spec schema {schema!r}")
-        return make_spec(
-            doc["workload"],
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(
+                f"spec field 'params' must be a JSON object, got {params!r}"
+            )
+        return cls(
+            workload=doc["workload"],
             platform=doc.get("platform", "shrimp"),
             fault_plan=doc.get("fault_plan", "none"),
             nodes=doc.get("nodes", 16),
             seed=doc.get("seed", 1998),
-            **doc.get("params", {}),
+            params=tuple(sorted(params.items())),
         )
 
     @property
@@ -190,36 +212,34 @@ def _axis(matrix: Dict, key: str, default: list) -> list:
 
 
 def expand_matrix(doc: Dict) -> List[ExperimentSpec]:
-    """Cross-product expansion of one matrix document."""
+    """Cross-product expansion of one matrix document.
+
+    Raises ``ValueError`` naming the bad field of a malformed document.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"a catalog must be a JSON object, got {type(doc).__name__}"
+        )
     matrix = doc.get("matrix")
-    specs: List[ExperimentSpec] = []
+    spec_docs = doc.get("specs", [])
+    if not isinstance(matrix, (dict, type(None))):
+        raise ValueError("catalog field 'matrix' must be a JSON object")
+    if not isinstance(spec_docs, list):
+        raise ValueError("catalog field 'specs' must be a JSON list")
+    cells = []
     if matrix is not None:
-        workloads = _axis(matrix, "workload", [])
-        if not workloads:
-            raise ValueError("matrix needs a 'workload' axis")
-        platforms = _axis(matrix, "platform", ["shrimp"])
-        fault_plans = _axis(matrix, "fault_plan", ["none"])
-        nodes_axis = _axis(matrix, "nodes", [16])
-        seeds = _axis(matrix, "seed", [1998])
-        param_combos = _axis(matrix, "params", [{}])
-        for workload, platform, fault_plan, nodes, seed, params in (
-            itertools.product(
-                workloads, platforms, fault_plans, nodes_axis, seeds,
-                param_combos,
+        axes = {
+            key: _axis(matrix, key, default)
+            for key, default in (
+                ("workload", []), ("platform", ["shrimp"]),
+                ("fault_plan", ["none"]), ("nodes", [16]), ("seed", [1998]),
+                ("params", [{}]),
             )
-        ):
-            specs.append(
-                make_spec(
-                    workload,
-                    platform=platform,
-                    fault_plan=fault_plan,
-                    nodes=nodes,
-                    seed=seed,
-                    **params,
-                )
-            )
-    for spec_doc in doc.get("specs", ()):
-        specs.append(ExperimentSpec.from_json({"schema": SPEC_SCHEMA, **spec_doc}))
+        }
+        cells = [
+            dict(zip(axes, cell)) for cell in itertools.product(*axes.values())
+        ]
+    specs = [ExperimentSpec.from_json(cell) for cell in cells + spec_docs]
     if not specs:
         raise ValueError("catalog document produced no specs")
     return specs
@@ -258,6 +278,22 @@ BUILTIN_MATRICES: Dict[str, Dict] = {
             "nodes": [4, 8, 16, 32],
         },
     },
+    # The demo runs, read back with `explore drill|show`: DU and reliable
+    # 2 KB pings (the span tree of one send), a traced suite application,
+    # and the monitor-armed fault scenarios (trip reports, postmortems).
+    "demos": {
+        "name": "demos",
+        "matrix": {"workload": ["monitor"], "params": [
+            {"scenario": scenario}
+            for scenario in ("outage", "overflow", "fanin", "serve-smoke")
+        ]},
+        "specs": [
+            {"workload": "ping", "nodes": 2,
+             "params": {"nbytes": 2048, "ops": 1, "reliable": reliable}}
+            for reliable in (0, 1)
+        ] + [{"workload": "app", "nodes": 4,
+              "params": {"app": "Radix-VMMC", "mode": "du"}}],
+    },
     # Large-mesh latency under the shard model, past the paper scale.
     # Virtual-time results only, so records regenerate byte-identically
     # regardless of how many workers executed them.
@@ -274,18 +310,20 @@ BUILTIN_MATRICES: Dict[str, Dict] = {
 
 def load_catalog(path_or_name: str) -> Catalog:
     """Load a catalog from a JSON file path or a built-in matrix name."""
-    if os.path.exists(path_or_name):
+    if os.path.isfile(path_or_name):
         with open(path_or_name, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        name = doc.get("name") or os.path.splitext(
-            os.path.basename(path_or_name)
-        )[0]
+        name = os.path.splitext(os.path.basename(path_or_name))[0]
     elif path_or_name in BUILTIN_MATRICES:
         doc = BUILTIN_MATRICES[path_or_name]
-        name = doc["name"]
+        name = None
     else:
         raise ValueError(
             f"no catalog file {path_or_name!r} and no built-in matrix of "
             f"that name; built-ins: {sorted(BUILTIN_MATRICES)}"
         )
-    return Catalog(name=name, specs=expand_matrix(doc))
+    specs = expand_matrix(doc)
+    name = doc.get("name") or name
+    if not isinstance(name, str):
+        raise ValueError(f"catalog field 'name' must be a string, got {name!r}")
+    return Catalog(name=name, specs=specs)

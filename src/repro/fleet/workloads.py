@@ -7,7 +7,8 @@ experiment surfaces select from this registry instead of copying it:
 :func:`resolve_workload`, ``repro.obs profile`` runs catalog specs through
 it, and ``repro.obs scrape`` and ``repro.study coll`` call the same
 programs (:func:`spawn_stream`, :func:`spawn_nx_coll`) on machines they
-build.
+build, and tests and examples drive :func:`spawn_fan_in` and
+:func:`spawn_outage` the same way.
 
 * ``app`` — a study-suite application (``app=NAME``, ``mode=au|du``,
   what-if ``config=NAME``, SVM ``protocol=...``, ``combine=1``); one
@@ -19,6 +20,9 @@ build.
   barrier; ``api=coll`` drives :class:`repro.coll.CollWorld` directly
   with ``op=barrier|allreduce|bcast`` and no warm-up.
 * ``micro`` — a section 4.1 microbenchmark (``measure=...``).
+* ``monitor`` — a fault scenario with the health monitor armed
+  (``scenario=outage|overflow|fanin|serve-smoke``); no samples, and the
+  report holds the trip report and the rendered postmortem.
 * ``ping`` — ``spec.nodes - 1`` senders streaming into node 0
   (``reliable=1``: over go-back-N); samples are ``vmmc.send`` spans.
 * ``serve`` — a :class:`repro.serve.ServeCluster` run; samples are
@@ -49,6 +53,9 @@ __all__ = [
     "PLATFORMS",
     "COLL_MODES",
     "spawn_stream",
+    "spawn_fan_in",
+    "spawn_outage",
+    "OUTAGE_AT_US",
     "spawn_nx_coll",
     "spawn_coll_ops",
     "resolve_workload",
@@ -239,6 +246,90 @@ def spawn_stream(
         machine.sim.spawn(tx(s), f"fleet.tx{s}")
 
 
+def spawn_fan_in(machine, nbytes: int, commit_lock: bool = False) -> None:
+    """Every other node streams ``nbytes`` x4 into node 0 concurrently.
+
+    With ``commit_lock`` each sender finishes by updating a shared
+    completion record under one machine-wide lock, so all senders queue
+    on a single Resource — the wait-queue-depth signature.
+    """
+    from ..sim import Resource
+    from ..vmmc import VMMCRuntime
+
+    vmmc = VMMCRuntime(machine)
+    receiver = vmmc.endpoint(machine.create_process(0))
+    senders = [
+        vmmc.endpoint(machine.create_process(node))
+        for node in range(1, machine.num_nodes)
+    ]
+    total = nbytes * 4 * len(senders)
+    lock = Resource(machine.sim, name="fanin.commit") if commit_lock else None
+
+    def rx():
+        yield from receiver.export(total, name="fanin.buf")
+
+    def tx(endpoint, index):
+        imported = yield from endpoint.import_buffer("fanin.buf")
+        src = endpoint.alloc(nbytes)
+        endpoint.poke(src, bytes(nbytes))
+        offset = index * 4 * nbytes
+        for burst in range(4):
+            yield from endpoint.send(
+                imported, src, nbytes, dst_offset=offset + burst * nbytes
+            )
+        if lock is not None:
+            yield from lock.acquire()
+            yield 100.0  # serialized completion-record update
+            lock.release()
+
+    machine.sim.spawn(rx(), "fanin.rx")
+    machine.start()  # NIC engines must run before the senders pile in
+    machine.sim.run()  # let the export land
+    for index, endpoint in enumerate(senders):
+        machine.sim.spawn(tx(endpoint, index), f"fanin.tx{index + 1}")
+
+
+#: Virtual time at which :func:`spawn_outage`'s link goes dark for good.
+OUTAGE_AT_US = 1_000.0
+
+
+def spawn_outage(machine) -> None:
+    """Node 0 sends two 2 KB messages to node 1 over a reliable channel,
+    and link (0, 1) dies for good at :data:`OUTAGE_AT_US`, between them:
+    ``sim.run()`` raises ``DeliveryFailed``, the receiver still blocked."""
+    from ..faults import FaultConfig, FaultPlan
+    from ..vmmc import ReliableConfig, VMMCRuntime
+
+    # An empty fault config samples no random events; the outage window is
+    # pinned by hand so the run kills a *known* link deterministically.
+    plan = FaultPlan(FaultConfig(), machine.streams.base_seed)
+    machine.install_fault_plan(plan)
+    plan.outages[(0, 1)] = [(OUTAGE_AT_US, float("inf"))]
+
+    vmmc = VMMCRuntime(machine)
+    sender = vmmc.endpoint(machine.create_process(0))
+    receiver = vmmc.endpoint(machine.create_process(1))
+    nbytes = 2048
+
+    def rx():
+        buffer = yield from receiver.export(nbytes, name="outage.buf")
+        yield from receiver.wait_bytes(buffer, 2 * nbytes)
+
+    def tx():
+        imported = yield from sender.import_buffer("outage.buf")
+        channel = sender.open_reliable(
+            imported, ReliableConfig(timeout_us=200.0, max_retries=4)
+        )
+        src = sender.alloc(nbytes)
+        sender.poke(src, _payload(nbytes))
+        yield from channel.send(src, nbytes)  # completes before the outage
+        yield OUTAGE_AT_US + 100.0 - machine.sim.now
+        yield from channel.send(src, nbytes)  # dies on the dead link
+
+    machine.sim.spawn(rx(), "outage.rx")
+    machine.sim.spawn(tx(), "outage.tx")
+
+
 def spawn_nx_coll(
     machine, nodes: int, mode: str, ops: int, allreduces: int = 0
 ) -> Dict[str, float]:
@@ -422,6 +513,124 @@ def _run_serve(spec) -> FleetResult:
     return result
 
 
+def _monitor_scenario(scenario: str, seed: int):
+    """Run one monitor-armed fault scenario; returns (machine, outcome)."""
+    from ..faults import FaultConfig
+    from ..hardware import DEFAULT_PARAMS
+    from ..monitor import MonitorConfig
+    from ..node import Machine
+    from ..vmmc import DeliveryFailed
+
+    if scenario == "outage":
+        # A reliable stream hits a permanently dead link mid-transfer.
+        machine = Machine(num_nodes=2, seed=seed)
+        machine.enable_monitor(MonitorConfig(
+            check_interval_us=100.0, stall_timeout_us=2_000.0,
+            retx_window_us=5_000.0, retx_storm_rounds=3,
+        ))
+        spawn_outage(machine)
+        error = None
+        try:
+            machine.sim.run()
+        except DeliveryFailed as exc:
+            error = exc
+        return machine, f"DeliveryFailed: {error}"
+    # Both fan-ins run 15 senders into a 4 KB receive FIFO.  ``overflow``
+    # discards on overflow (the commodity-switch behavior).  ``fanin`` is
+    # the paper's 15-to-1 contention collapse under wormhole backpressure:
+    # small messages pack the FIFO near capacity (rx_watermark), and the
+    # serialized commit section queues all 15 senders on one lock
+    # (wait_queue_depth).
+    overflow = scenario == "overflow"
+    machine = Machine(
+        num_nodes=16,
+        seed=seed,
+        params=DEFAULT_PARAMS.with_overrides(rx_fifo_bytes=4096),
+        fault_config=FaultConfig(rx_overflow_discard=True) if overflow else None,
+    )
+    if overflow:
+        machine.enable_monitor(MonitorConfig(check_interval_us=50.0))
+        spawn_fan_in(machine, nbytes=1024)
+    else:
+        machine.enable_monitor(
+            MonitorConfig(check_interval_us=25.0, wait_queue_watermark=6)
+        )
+        spawn_fan_in(machine, nbytes=256, commit_lock=True)
+    machine.sim.run()
+    if overflow:
+        drops = machine.stats.counter_value("fault.rx_overflow_drops")
+        return machine, f"{drops} packet(s) discarded by receive-FIFO overflow"
+    stalls = machine.stats.counter_value("rx.backpressure")
+    return machine, f"{stalls} backpressure stall(s) at the receiver"
+
+
+def _serve_smoke(seed: int):
+    """A small serving tier rides through a permanent mid-run link outage:
+    it must degrade without deadlocking (``smoke: PASS``), and the
+    monitor's postmortem must name the dead link."""
+    from ..monitor import MonitorConfig
+    from ..serve import ServeCluster, ServeConfig, make_chaos
+
+    # The retry budget is kept small so the crossing channels fail (and
+    # the monitor names the dead link) well before the drain completes.
+    config = ServeConfig(
+        num_shards=2, num_aggregates=2, balancer="hash", arrivals="poisson",
+        offered_rps=25_000.0, duration_us=8_000.0, slo_timeout_us=1_000.0,
+        retx_timeout_us=200.0, retx_max_retries=3,
+    )
+    cluster = ServeCluster(config, seed=seed, telemetry=True)
+    # Serving queues legitimately sit idle between arrivals and run deep
+    # under bursts; keep the generic watchdogs from crying wolf while the
+    # transport-level trips (retx storms, delivery failures) stay sharp.
+    monitor = cluster.machine.enable_monitor(MonitorConfig(
+        check_interval_us=250.0, stall_timeout_us=100_000.0,
+        wait_queue_watermark=4096, retx_window_us=3_000.0,
+        retx_storm_rounds=3,
+    ))
+    cluster.setup()
+    chaos = make_chaos("link-outage", at_us=1_500.0, duration_us=None)
+    chaos.apply(cluster)
+    head = f"chaos: {chaos.describe(cluster)}"
+    report = cluster.run()
+    ok, failed = report.overall.ok, report.overall.failed
+    return cluster.machine, "\n".join([
+        head, report.render(), "", monitor.report(),
+        monitor.postmortem().render(), "",
+        critpath.attribution_report(cluster.machine.telemetry, "serve.request"),
+        "", f"smoke: {'PASS' if ok > 0 and failed > 0 else 'FAIL'} "
+        f"(ok={ok}, failed={failed}, p999={report.p999_us:.1f}us)",
+    ])
+
+
+def _run_monitor(spec) -> FleetResult:
+    """A fault scenario with the health monitor armed; the report holds
+    the trip report and the rendered postmortem."""
+    _require_defaults(spec)
+    scenario = spec.param("scenario")
+    if scenario == "serve-smoke":
+        machine, report = _serve_smoke(spec.seed)
+    elif scenario in ("outage", "overflow", "fanin"):
+        machine, outcome = _monitor_scenario(scenario, spec.seed)
+        report = "\n".join([
+            f"run ended at t={machine.now:.1f}us; {outcome}", "",
+            machine.monitor.report(), "", machine.monitor.postmortem().render(),
+        ])
+    else:
+        raise ValueError(
+            f"unknown monitor scenario {scenario!r}; choose from "
+            "outage, overflow, fanin, serve-smoke"
+        )
+    return FleetResult(
+        unit="report",
+        higher_is_better=False,
+        samples=[],
+        telemetry=machine.telemetry,
+        monitor=machine.monitor,
+        virtual_end_us=machine.now,
+        report=report,
+    )
+
+
 def _run_app(spec) -> FleetResult:
     from ..apps.base import run_app
     from ..study.configs import config
@@ -554,9 +763,9 @@ def _run_shard(spec) -> FleetResult:
 
 def _require_defaults(spec, *, nodes_free: bool = False) -> None:
     """Workloads that fix their own machine shape (``bench:``, ``study:``,
-    ``app``, ``micro``, ``serve``, ``shard``): the spec's platform/fault axes (and
-    unless ``nodes_free`` the node count) must stay at their defaults
-    rather than being silently ignored."""
+    ``app``, ``micro``, ``monitor``, ``serve``, ``shard``): the spec's
+    platform/fault axes (and unless ``nodes_free`` the node count) must
+    stay at their defaults rather than being silently ignored."""
     from .catalog import ExperimentSpec
 
     if spec.platform != "shrimp" or spec.fault_plan != "none":
@@ -629,6 +838,12 @@ WORKLOADS: Dict[str, FleetWorkload] = {
             "micro",
             "section 4.1 microbenchmark: measure=" + "|".join(_MICRO_MEASURES),
             _run_micro,
+        ),
+        FleetWorkload(
+            "monitor",
+            "monitor-armed fault scenario report: "
+            "scenario=outage|overflow|fanin|serve-smoke",
+            _run_monitor,
         ),
         FleetWorkload(
             "ping",

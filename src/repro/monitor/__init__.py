@@ -27,9 +27,11 @@ Quick start::
     print(monitor.report())
     print(monitor.postmortem().render())
 
-Demos (an injected link outage, receive-FIFO overflow, 15-to-1 fan-in)::
+Demos (an injected link outage, receive-FIFO overflow, 15-to-1 fan-in)
+are the fleet ``monitor`` workload's scenarios::
 
-    python -m repro.monitor outage --out postmortem.json
+    python -m repro.fleet run --matrix demos
+    python -m repro.explore drill workload=monitor,scenario=outage
 """
 
 from .config import MonitorConfig

@@ -154,15 +154,9 @@ def _cmd_scrape(args) -> int:
     obs.close()
     sys.stdout.write(obs.scrape())
     if args.series_out:
-        import json
+        from ..bench.core import write_bench
 
-        from ..telemetry.export import ensure_parent_dir
-
-        with open(
-            ensure_parent_dir(args.series_out), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(obs.series_doc(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_bench(obs.series_doc(), args.series_out)
         print(f"# series written to {args.series_out}", file=sys.stderr)
     if args.jsonl:
         print(f"# jsonl stream written to {args.jsonl}", file=sys.stderr)

@@ -21,8 +21,8 @@ fabric misbehaves?
   shard stall, receive-FIFO overflow) scored against the SLO report and
   the health monitor's postmortem.
 
-``python -m repro.serve run`` drives one scenario;
-``python -m repro.serve smoke`` runs the chaos smoke check CI gates on.
+The chaos smoke check CI gates on is the fleet spec
+``workload=monitor,scenario=serve-smoke`` of ``--matrix demos``.
 """
 
 from .balance import (

@@ -19,9 +19,11 @@ Quick start::
     write_chrome_trace(tel, "run.trace.json")
     print(summarize(tel))
 
-Or from the command line::
+Traced demo runs (a DU ping's span tree, a suite application) are the
+fleet ``demos`` matrix; ``explore drill`` names each run's trace::
 
-    python -m repro.telemetry du-ping --out run.trace.json
+    python -m repro.fleet run --matrix demos
+    python -m repro.explore drill workload=ping,reliable=0
 """
 
 from .collector import Span, Telemetry

@@ -13,12 +13,15 @@ The load-bearing properties pinned here:
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 
@@ -140,6 +143,69 @@ def test_builtin_matrices_and_workload_registry_expand():
     assert "coll" in names and "ping" in names and "serve" in names
     with pytest.raises(ValueError):
         resolve_workload("no-such-workload")
+
+
+# A malformed catalog ends in a ValueError that names the bad field, and
+# the fleet CLI reports it as ``error: ...`` with exit status 2.
+BAD_CATALOGS = [
+    ({"matrix": {"nodes": [4]}}, "'workload'"),
+    ([{"workload": "coll"}], "JSON object"),
+    ({"specs": [{"workload": "coll", "params": {"mode": ["nx"]}}]}, "'mode'"),
+    ({"specs": [{"workload": "coll", "nodes": "4"}]}, "'nodes'"),
+    ({"matrix": {"workload": "coll", "params": ["nx"]}}, "'params'"),
+    ({"specs": [{"workload": "coll", "params": {"nodes": 4}}],
+      "name": 7}, "'name'"),
+]
+
+
+@pytest.mark.parametrize("doc, field", BAD_CATALOGS)
+def test_bad_catalog_is_a_value_error_naming_the_field(tmp_path, capsys,
+                                                       doc, field):
+    from repro.fleet.__main__ import main as fleet_main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=field):
+        load_catalog(str(path))
+    for argv in (["run", "--matrix", str(path), "--store", str(tmp_path)],
+                 ["list", "--matrix", str(path)]):
+        assert fleet_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+    assert fleet_main(["list", "--matrix", "no-such-matrix"]) == 2
+    assert "no-such-matrix" in capsys.readouterr().err
+
+
+_KEYS = st.sampled_from(
+    ["name", "matrix", "specs", "workload", "platform", "fault_plan",
+     "nodes", "seed", "params", "schema", "mode"]
+) | st.text(max_size=3)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 20)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["coll", "ping", "shrimp", "none", "nx", ""])
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_JSON)
+def test_any_json_document_is_a_catalog_or_a_value_error(tmp_path, doc):
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        catalog = load_catalog(str(path))
+    except ValueError:
+        return
+    assert isinstance(catalog, Catalog) and len(catalog) > 0
+    for spec in catalog:
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
 
 
 # -- record building -----------------------------------------------------
@@ -480,3 +546,52 @@ def test_app_and_micro_workloads():
     assert (bandwidth.unit, bandwidth.higher_is_better) == ("MB/s", True)
     with pytest.raises(ValueError, match="measure"):
         resolve_workload("micro").run(make_spec("micro", measure="nope"))
+
+
+# -- the demos matrix: every line CI greps -------------------------------
+
+#: ``explore drill`` reference -> the ``grep`` patterns (basic regular
+#: expressions) that CI applies to that record's drill output.
+DEMO_GREPS = {
+    "workload=monitor,scenario=outage": [
+        "links down: link(0, 1)",
+        "retx_storm  *rel1: 3 retransmission rounds",
+        "7300.000us] delivery_failed  *rel1",
+    ],
+    "workload=monitor,scenario=serve-smoke": [
+        "p99", "p999", "links down: link(", "smoke: PASS",
+    ],
+}
+
+
+def _bre(pattern):
+    """The Python regex of a ``grep`` basic regex that uses only ``.``
+    and ``*`` as operators (``(``, ``)`` and ``]`` are literals there)."""
+    return "".join(c if c in ".*" else re.escape(c) for c in pattern)
+
+
+def test_demos_matrix_carries_every_line_ci_greps(tmp_path, capsys):
+    from repro.explore.__main__ import main as explore_main
+    from repro.fleet.__main__ import main as fleet_main
+
+    root = str(tmp_path / "runs")
+    assert fleet_main(["run", "--matrix", "demos", "--store", root]) == 0
+    assert "demos: 7 spec(s)" in capsys.readouterr().out
+    for ref, patterns in DEMO_GREPS.items():
+        assert explore_main(["--store", root, "drill", ref]) == 0
+        out = capsys.readouterr().out
+        for pattern in patterns:
+            assert re.search(_bre(pattern), out), (ref, pattern)
+        # The artifacts CI uploads: the trace and the postmortem.
+        assert re.search(r"^trace: \S+ \(\d+ events", out, re.M)
+        assert re.search(r"^postmortem: \S+", out, re.M)
+    for ref in ("workload=ping,reliable=0", "workload=ping,reliable=1",
+                "workload=app,app=Radix-VMMC"):
+        assert explore_main(["--store", root, "drill", ref]) == 0
+        assert re.search(r"^trace: \S+", capsys.readouterr().out, re.M)
+    store = RunStore(root)
+    for spec in load_catalog("demos"):
+        record = store.load(spec.fingerprint)
+        if spec.workload == "monitor":
+            assert record["monitor"]["healthy"] is False
+            assert set(record["artifacts"]) == {"trace", "postmortem", "report"}

@@ -167,3 +167,22 @@ def test_study_cli_rejects_unknown(capsys):
 
     with pytest.raises(SystemExit):
         main(["table99"])
+
+
+# -------------------------------------------------------------- version --
+
+def test_package_and_pyproject_versions_agree():
+    """One version number: ``pyproject.toml`` and ``repro.__version__``.
+
+    Parsed with a regex, not ``tomllib``: Python 3.9 has no TOML reader.
+    """
+    import os
+    import re
+
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        match = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(), re.M)
+    assert match, "pyproject.toml has no [project] version"
+    assert match.group(1) == repro.__version__

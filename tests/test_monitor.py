@@ -4,7 +4,8 @@ Covers the watchdogs (stalls, livelock), the invariant monitors (FIFO and
 wait-queue watermarks, retransmit storms, overflow discards), the flight
 recorder, postmortem wait-for dumps with deadlock-cycle detection, the
 enriched deadlock error from ``run_process``, deterministic auto-naming of
-anonymous primitives, and the ``python -m repro.monitor`` demos.
+anonymous primitives, and the demo scenarios of the fleet ``monitor``
+workload.
 """
 
 import json
@@ -13,13 +14,13 @@ import re
 import pytest
 
 from repro import Machine
-from repro.faults import FaultConfig, FaultPlan
+from repro.faults import FaultConfig
+from repro.fleet.workloads import OUTAGE_AT_US, spawn_fan_in, spawn_outage
 from repro.monitor import HealthMonitor, MonitorConfig, capture
 from repro.sim import Queue, Resource, Signal, Simulator, SimulationError
 from repro.sim.resources import PRIMITIVES
 from repro.vmmc import DeliveryFailed, ReliableConfig, VMMCRuntime
 
-OUTAGE_AT_US = 1_000.0
 
 
 # -- scenario helpers -----------------------------------------------------
@@ -37,32 +38,7 @@ def _run_outage(config=None):
             retx_storm_rounds=3,
         )
     )
-    plan = FaultPlan(FaultConfig(), 42)
-    machine.install_fault_plan(plan)
-    plan.outages[(0, 1)] = [(OUTAGE_AT_US, float("inf"))]
-
-    vmmc = VMMCRuntime(machine)
-    sender = vmmc.endpoint(machine.create_process(0))
-    receiver = vmmc.endpoint(machine.create_process(1))
-    nbytes = 2048
-
-    def rx():
-        buffer = yield from receiver.export(nbytes, name="outage.buf")
-        yield from receiver.wait_bytes(buffer, 2 * nbytes)
-
-    def tx():
-        imported = yield from sender.import_buffer("outage.buf")
-        channel = sender.open_reliable(
-            imported, ReliableConfig(timeout_us=200.0, max_retries=4)
-        )
-        src = sender.alloc(nbytes)
-        sender.poke(src, bytes(range(256)) * (nbytes // 256))
-        yield from channel.send(src, nbytes)
-        yield OUTAGE_AT_US + 100.0 - machine.sim.now
-        yield from channel.send(src, nbytes)
-
-    machine.sim.spawn(rx(), "outage.rx")
-    machine.sim.spawn(tx(), "outage.tx")
+    spawn_outage(machine)
     with pytest.raises(DeliveryFailed):
         machine.sim.run()
     return machine, monitor
@@ -160,8 +136,6 @@ def test_postmortem_json_roundtrip(tmp_path):
 
 def test_fanin_overflow_trips_rx_overflow():
     from repro.hardware import DEFAULT_PARAMS
-    from repro.monitor.__main__ import _fan_in
-
     machine = Machine(
         num_nodes=16,
         seed=5,
@@ -169,7 +143,7 @@ def test_fanin_overflow_trips_rx_overflow():
         fault_config=FaultConfig(rx_overflow_discard=True),
     )
     monitor = machine.enable_monitor(MonitorConfig(check_interval_us=50.0))
-    _fan_in(machine, nbytes=1024)
+    spawn_fan_in(machine, nbytes=1024)
     machine.sim.run()
     trips = monitor.tripped("rx_overflow")
     assert len(trips) == 1  # latched: one trip per FIFO, drops keep counting
@@ -182,8 +156,6 @@ def test_fanin_overflow_trips_rx_overflow():
 
 def test_fanin_trips_rx_watermark_and_wait_queue_depth():
     from repro.hardware import DEFAULT_PARAMS
-    from repro.monitor.__main__ import _fan_in
-
     machine = Machine(
         num_nodes=16,
         seed=5,
@@ -192,7 +164,7 @@ def test_fanin_trips_rx_watermark_and_wait_queue_depth():
     monitor = machine.enable_monitor(
         MonitorConfig(check_interval_us=25.0, wait_queue_watermark=6)
     )
-    _fan_in(machine, nbytes=256, commit_lock=True)
+    spawn_fan_in(machine, nbytes=256, commit_lock=True)
     machine.sim.run()
     marks = monitor.tripped("rx_watermark")
     assert marks and marks[0].subject == "rxfifo.n0"
@@ -496,25 +468,33 @@ def test_trip_cap_counts_dropped_trips():
     assert "not stored" in monitor.report()
 
 
-# -- CLI demos -------------------------------------------------------------
+# -- the demos: fleet `monitor` specs read back with `explore drill` -------
+
+
+def _drill_demo(tmp_path, capsys, scenario):
+    """Run one ``monitor`` scenario spec into a store under ``tmp_path``;
+    returns the ``explore drill`` output, the store and the record."""
+    from repro.explore.__main__ import main as explore_main
+    from repro.fleet import RunStore, make_spec, run_specs
+
+    store = RunStore(str(tmp_path / "runs"))
+    spec = make_spec("monitor", scenario=scenario)
+    assert [o.status for o in run_specs([spec], store)] == ["ran"]
+    ref = f"workload=monitor,scenario={scenario}"
+    assert explore_main(["--store", store.root, "drill", ref]) == 0
+    return capsys.readouterr().out, store, store.load(spec.fingerprint)
 
 
 def test_monitor_cli_outage_demo_writes_postmortem(tmp_path, capsys):
-    from repro.monitor.__main__ import main
-
-    out = tmp_path / "pm.json"
-    assert main(["outage", "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
+    stdout, store, record = _drill_demo(tmp_path, capsys, "outage")
     assert "retx_storm" in stdout
     assert "links down: link(0, 1)" in stdout
-    loaded = json.loads(out.read_text())
+    with open(store.artifact_path(record, "postmortem"), encoding="utf-8") as fh:
+        loaded = json.load(fh)
     assert any(t["kind"] == "delivery_failed" for t in loaded["trips"])
 
 
-def test_monitor_cli_fanin_demo_trips_watermarks(capsys):
-    from repro.monitor.__main__ import main
-
-    assert main(["fanin"]) == 0
-    stdout = capsys.readouterr().out
+def test_monitor_cli_fanin_demo_trips_watermarks(tmp_path, capsys):
+    stdout, _store, _record = _drill_demo(tmp_path, capsys, "fanin")
     assert "rx_watermark" in stdout
     assert "wait_queue_depth" in stdout

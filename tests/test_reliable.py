@@ -246,6 +246,40 @@ def test_async_send_and_drain():
     assert out["bytes"] == 16 * 1024
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_channel_failing_mid_send_leaves_nothing_in_flight(seed):
+    """A send still issuing packets when the timer fails the channel must
+    stop issuing and raise; it must not refill the cleared unacked set."""
+    machine = Machine(
+        num_nodes=2, seed=seed, fault_config=FaultConfig(corrupt_rate=0.2)
+    )
+    vmmc = VMMCRuntime(machine)
+    sender = vmmc.endpoint(machine.create_process(0))
+    receiver = vmmc.endpoint(machine.create_process(1))
+    nbytes = 4 * 4096
+    out = {}
+
+    def rx():
+        yield from receiver.export(2 * nbytes, name="leak")
+
+    def tx():
+        imported = yield from sender.import_buffer("leak")
+        channel = out["channel"] = sender.open_reliable(
+            imported, ReliableConfig(timeout_us=30.0, max_retries=0)
+        )
+        src = sender.alloc(nbytes)
+        with pytest.raises(DeliveryFailed):
+            yield from channel.send(src, nbytes, sync=False)
+            yield from channel.send(src, nbytes, dst_offset=nbytes, sync=False)
+
+    machine.sim.spawn(rx(), "rx")
+    tx_proc = machine.sim.spawn(tx(), "tx")
+    machine.sim.run()
+    assert tx_proc.done
+    assert out["channel"].failed
+    assert out["channel"].in_flight == 0
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -251,6 +251,8 @@ class ReliableVMMC(RuleBasedStateMachine):
                 # final drain raised.  (A late ack can still complete what
                 # was in flight when the channel failed.)
                 assert state.failed or not undelivered
+                # Failing cleared the unacked set, and no send refilled it.
+                assert channel.in_flight == 0
             else:
                 assert not state.failed and not undelivered
                 assert channel.acked == accepted == channel.last_seq

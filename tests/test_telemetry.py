@@ -261,28 +261,54 @@ def test_reports_render():
     machine = _du_ping(Machine(num_nodes=2, telemetry=True))
     text = summarize(machine.telemetry, label="test")
     assert "Profile: test" in text
+    assert "Per-layer latency breakdown" in text
     assert "vmmc.send" in latency_breakdown(machine.telemetry)
     assert "rxfifo.n1" in utilization_report(machine.telemetry)
 
 
-def test_cli_smoke(tmp_path, capsys):
-    from repro.telemetry.__main__ import main
+def _run_ping_demo(tmp_path, store_root):
+    """The ``demos`` DU ping (a fleet ``ping`` spec) run through the fleet
+    CLI into ``store_root``; returns the record and its trace document."""
+    from repro.explore.__main__ import main as explore_main
+    from repro.fleet import RunStore, load_catalog
+    from repro.fleet.__main__ import main as fleet_main
 
-    out = tmp_path / "ping.trace.json"
-    assert main(["du-ping", "--out", str(out), "--tree"]) == 0
-    doc = json.loads(out.read_text())
+    (spec,) = [
+        s for s in load_catalog("demos")
+        if s.workload == "ping" and s.param("reliable") == 0
+    ]
+    catalog = tmp_path / "du-ping.json"
+    catalog.write_text(json.dumps({"specs": [spec.to_json()]}))
+    assert fleet_main(
+        ["run", "--matrix", str(catalog), "--store", str(store_root)]
+    ) == 0
+    store = RunStore(str(store_root))
+    record = store.load(spec.fingerprint)
+    assert explore_main(
+        ["--store", str(store_root), "drill", "workload=ping,reliable=0"]
+    ) == 0
+    with open(store.artifact_path(record, "trace"), encoding="utf-8") as fh:
+        return record, json.load(fh)
+
+
+def test_cli_smoke(tmp_path, capsys):
+    _record, doc = _run_ping_demo(tmp_path, tmp_path / "runs")
     assert doc["traceEvents"]
     captured = capsys.readouterr()
-    assert "Per-layer latency breakdown" in captured.out
-    assert "vmmc.send" in captured.out
+    assert "trace: " in captured.out
+    assert "vmmc.send" in {event["name"] for event in doc["traceEvents"]}
 
 
 def test_cli_out_creates_parent_dirs_and_attr_report(tmp_path, capsys):
-    from repro.telemetry.__main__ import main
+    from repro.explore.__main__ import main as explore_main
 
-    out = tmp_path / "new" / "dirs" / "ping.trace.json"
-    assert main(["du-ping", "--out", str(out), "--attr"]) == 0
-    assert json.loads(out.read_text())["traceEvents"]
+    store_root = tmp_path / "new" / "dirs" / "runs"
+    _record, doc = _run_ping_demo(tmp_path, store_root)
+    assert doc["traceEvents"]
+    capsys.readouterr()
+    assert explore_main(
+        ["--store", str(store_root), "show", "workload=ping,reliable=0"]
+    ) == 0
     assert "Critical-path attribution" in capsys.readouterr().out
 
 
