@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Live observability, end to end: metrics, progress, profiling, HTML.
+"""Live observability, end to end: metrics, profiling, HTML.
 
 This walks the ``repro.obs`` surface from the library API:
 
@@ -9,11 +9,9 @@ This walks the ``repro.obs`` surface from the library API:
    trajectory is byte-identical to an unobserved one);
 2. **serve SLO series** — the serving tier through a link outage, with
    the live ok/late/failed counters sampled as time series;
-3. **shard progress** — a sharded large-mesh run reporting per-epoch
-   ETA and lookahead-stall heartbeats off the identity stream;
-4. **host-time profiling** — where the simulator's wall clock goes,
+3. **host-time profiling** — where the simulator's wall clock goes,
    attributed to components by stack sampling;
-5. **HTML evidence** — the series rendered into a self-contained page.
+4. **HTML evidence** — the series rendered into a self-contained page.
 
 The CLI equivalents are shown next to each step.  Run::
 
@@ -101,25 +99,6 @@ def serve_slo_series():
     return obs
 
 
-def shard_progress() -> None:
-    # CLI: python -m repro.shard run --nodes 256 --workers 4 --progress
-    from repro.shard import run_sharded, spec_for_nodes
-
-    spec = spec_for_nodes(256, duration_us=60.0, record_deliveries=False)
-    epochs = []
-    result = run_sharded(spec, 4, progress=epochs.append)
-    last = epochs[-1]
-    print(
-        f"\nshard: {result.events} events over {result.epochs} epochs; "
-        f"final heartbeat: {last.line()}"
-    )
-    worst = max(last.stall_fractions())
-    print(
-        f"  worst lookahead stall {100 * worst:.0f}% — the number that "
-        f"says why scaling flattens on few-core hosts"
-    )
-
-
 def host_profile() -> None:
     # CLI: python -m repro.obs profile --matrix smoke
     from repro.fleet import make_spec
@@ -151,7 +130,6 @@ def html_evidence(obs) -> None:
 def main() -> None:
     live_metrics()
     obs = serve_slo_series()
-    shard_progress()
     host_profile()
     html_evidence(obs)
 

@@ -27,7 +27,7 @@ from .nic import DEFAULT_NIC_CONFIG, NICConfig
 from .node import Machine, Node, NodeProcess
 from .obs import MetricsRegistry, ObsConfig, SamplingProfiler
 from .serve import ServeCluster, ServeConfig, SloReport
-from .shard import ShardSpec, run_serial, run_sharded, spec_for_nodes
+from .shard import ShardSpec, run_serial, spec_for_nodes
 from .sim import Simulator, Timeout
 from .telemetry import Telemetry
 from .vmmc import (
@@ -75,7 +75,6 @@ __all__ = [
     "ShardSpec",
     "spec_for_nodes",
     "run_serial",
-    "run_sharded",
     "Simulator",
     "Telemetry",
     "Timeout",

@@ -296,7 +296,7 @@ BUILTIN_MATRICES: Dict[str, Dict] = {
     },
     # Large-mesh latency under the shard model, past the paper scale.
     # Virtual-time results only, so records regenerate byte-identically
-    # regardless of how many workers executed them.
+    # on any host.
     "largemesh": {
         "name": "largemesh",
         "matrix": {
@@ -309,7 +309,13 @@ BUILTIN_MATRICES: Dict[str, Dict] = {
 
 
 def load_catalog(path_or_name: str) -> Catalog:
-    """Load a catalog from a JSON file path or a built-in matrix name."""
+    """Load a catalog from a JSON file path or a built-in matrix name.
+
+    Raises ``ValueError`` for a malformed document, an unknown workload
+    or a param its workload does not read.
+    """
+    from .workloads import resolve_workload
+
     if os.path.isfile(path_or_name):
         with open(path_or_name, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -326,4 +332,6 @@ def load_catalog(path_or_name: str) -> Catalog:
     name = doc.get("name") or name
     if not isinstance(name, str):
         raise ValueError(f"catalog field 'name' must be a string, got {name!r}")
+    for spec in specs:
+        resolve_workload(spec.workload).check(spec)
     return Catalog(name=name, specs=specs)

@@ -28,7 +28,7 @@ build, and tests and examples drive :func:`spawn_fan_in` and
 * ``serve`` — a :class:`repro.serve.ServeCluster` run; samples are
   ``serve.request`` spans, or with ``measure=goodput`` the goodput.
 * ``shard`` — the large-mesh packet model (:mod:`repro.shard`); samples
-  are per-delivery latencies, independent of the worker count.
+  are per-delivery latencies.
 * ``bench:<name>`` — a :mod:`repro.bench` entry's spec at ``spec.seed``.
 * ``study:<family>`` — a :data:`repro.study.__main__.FAMILIES` report,
   rendered in-process (its app runs one after another).
@@ -41,7 +41,7 @@ Span samples drop each node's cold first op.  Platforms come from
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import critpath
 
@@ -91,11 +91,29 @@ class FleetResult:
 
 @dataclass(frozen=True)
 class FleetWorkload:
-    """A registered workload: a description plus the spec -> result runner."""
+    """A registered workload: a description, the spec -> result program
+    and the names of the spec params that program reads."""
 
     name: str
     description: str
-    run: Callable[["ExperimentSpec"], FleetResult]
+    program: Callable[["ExperimentSpec"], FleetResult]
+    params: Tuple[str, ...] = ()
+
+    def check(self, spec) -> None:
+        """Reject a spec carrying a param this workload does not read, so
+        a misspelt knob cannot run the defaults under its own
+        fingerprint."""
+        for key, _value in spec.params:
+            if key not in self.params:
+                accepted = ", ".join(self.params) or "none"
+                raise ValueError(
+                    f"workload {self.name!r} has no param {key!r} "
+                    f"(accepted: {accepted})"
+                )
+
+    def run(self, spec) -> FleetResult:
+        self.check(spec)
+        return self.program(spec)
 
 
 #: Named fault environments a catalog can select declaratively.
@@ -725,26 +743,20 @@ def _run_shard(spec) -> FleetResult:
     """The large-mesh shard model at ``spec.nodes`` (virtual time only).
 
     Samples are per-delivery latencies; counters (packets, events, hops)
-    land in ``metrics``.  Wall-clock figures (events/s, epochs) are
-    deliberately excluded: records must regenerate byte-identically, and
-    the shard contract makes the result independent of the worker count —
-    ``workers`` only changes how fast the same bytes are produced.
+    land in ``metrics``.  Wall-clock figures (events/s) are deliberately
+    excluded, so records regenerate byte-identically on any host.
     """
-    from ..shard import run_serial, run_sharded, spec_for_nodes
+    from ..shard import run_serial, spec_for_nodes
 
     _require_defaults(spec, nodes_free=True)
-    workers = int(spec.param("workers", 1))
-    shard_spec = spec_for_nodes(
+    result = run_serial(spec_for_nodes(
         spec.nodes,
         workload=str(spec.param("pattern", "uniform")),
         duration_us=float(spec.param("duration_us", 120.0)),
         inject_interval_us=float(spec.param("interval_us", 1.0)),
         packet_bytes=int(spec.param("nbytes", 256)),
         seed=spec.seed,
-    )
-    result = (
-        run_sharded(shard_spec, workers) if workers > 1 else run_serial(shard_spec)
-    )
+    ))
     return FleetResult(
         unit="us",
         higher_is_better=False,
@@ -765,7 +777,8 @@ def _require_defaults(spec, *, nodes_free: bool = False) -> None:
     """Workloads that fix their own machine shape (``bench:``, ``study:``,
     ``app``, ``micro``, ``monitor``, ``serve``, ``shard``): the spec's
     platform/fault axes (and unless ``nodes_free`` the node count) must
-    stay at their defaults rather than being silently ignored."""
+    stay at their defaults rather than being silently ignored, as
+    :meth:`FleetWorkload.check` does for unread params."""
     from .catalog import ExperimentSpec
 
     if spec.platform != "shrimp" or spec.fault_plan != "none":
@@ -827,39 +840,47 @@ WORKLOADS: Dict[str, FleetWorkload] = {
             "config=NAME, protocol=hlrc|hlrc-au|aurc, combine=0|1, "
             "observe=0|1",
             _run_app,
+            ("app", "mode", "config", "protocol", "combine", "observe"),
         ),
         FleetWorkload(
             "coll",
             "collective latency: api=nx|coll, mode=nx|tree-host|tree-nic, "
             "op=barrier|allreduce|bcast, ops=N",
             _run_coll,
+            ("api", "mode", "op", "ops"),
         ),
         FleetWorkload(
             "micro",
             "section 4.1 microbenchmark: measure=" + "|".join(_MICRO_MEASURES),
             _run_micro,
+            ("measure",),
         ),
         FleetWorkload(
             "monitor",
             "monitor-armed fault scenario report: "
             "scenario=outage|overflow|fanin|serve-smoke",
             _run_monitor,
+            ("scenario",),
         ),
         FleetWorkload(
             "ping",
             "(nodes-1)-to-1 vmmc sends: nbytes=N, ops=N, reliable=0|1",
             _run_ping,
+            ("nbytes", "ops", "reliable"),
         ),
         FleetWorkload(
             "serve",
             "serving-tier request latency: balancer=..., arrivals=..., "
             "rps=..., duration_us=..., measure=latency|goodput",
             _run_serve,
+            ("balancer", "arrivals", "rps", "duration_us", "measure"),
         ),
         FleetWorkload(
             "shard",
-            "large-mesh packet latency: pattern=..., duration_us=..., workers=N",
+            "large-mesh packet latency: pattern=..., duration_us=..., "
+            "interval_us=..., nbytes=N",
             _run_shard,
+            ("pattern", "duration_us", "interval_us", "nbytes"),
         ),
     )
 }

@@ -121,15 +121,13 @@ class Machine:
         self.obs = None
         self._started = False
 
-    def enable_telemetry(self, limit: int = 1_000_000, timeline_cap=None):
+    def enable_telemetry(self, limit: int = 1_000_000):
         """Install (or return) the machine's telemetry collector.
 
         Arms every instrumented layer: spans, histograms and utilization
         timelines start recording against virtual time.  Recording never
         consumes virtual time, so enabling telemetry does not change what
         the simulated machine does — only what is observed about it.
-        ``timeline_cap`` bounds per-timeline point retention (even,
-        >= 8; None keeps every point — the historical default).
         """
         if self.telemetry is None:
             from ..telemetry import Telemetry
@@ -138,7 +136,6 @@ class Machine:
                 lambda: self.sim.now,
                 limit=limit,
                 current_process=lambda: self.sim.current,
-                timeline_cap=timeline_cap,
             )
             self.stats.telemetry = self.telemetry
             self.sim.telemetry = self.telemetry

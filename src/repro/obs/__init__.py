@@ -5,10 +5,8 @@ Four pillars (DESIGN.md section 17):
 * :class:`MetricsRegistry` — run-scoped probes sampled on a virtual-time
   cadence into bounded ring-buffered series, with a Prometheus-style text
   exposition (``python -m repro.obs scrape``) and JSONL streaming;
-* :class:`EpochProgress` / :class:`ShardProgressTicker` /
-  :class:`FleetTicker` — live progress and ETA for sharded runs and fleet
-  fan-outs, carried on observational side-channels provably off the
-  identity streams;
+* :class:`FleetTicker` — live progress and ETA for fleet fan-outs,
+  carried on the pool's heartbeat queue, off every stored record;
 * :class:`SamplingProfiler` — a host-time sampling profiler attributing
   the simulator's wall clock to its components;
 * the HTML evidence renderer (``python -m repro.obs html``) over the run
@@ -27,7 +25,7 @@ from .metrics import (
     RingSeries,
 )
 from .profile import SamplingProfiler, classify_path
-from .progress import EpochProgress, FleetTicker, ShardProgressTicker
+from .progress import FleetTicker
 
 __all__ = [
     "ObsConfig",
@@ -36,8 +34,6 @@ __all__ = [
     "DEFAULT_COUNTER_PROBES",
     "SamplingProfiler",
     "classify_path",
-    "EpochProgress",
-    "ShardProgressTicker",
     "FleetTicker",
     "svg_chart",
     "render_target",

@@ -1,108 +1,21 @@
-"""Live progress for the long-running layers: shard epochs, fleet specs.
+"""Live progress for fleet fan-outs.
 
-Both reporters are **observational side-channels**: the numbers ride the
-coordination channels that already exist (the shard master/worker pipes,
-the fleet pool's heartbeat queue) and are derived purely from wall-clock
-and queue-depth state that is *excluded* from the identity stream by
-construction — ``ShardRunResult.telemetry_lines()`` is computed from the
-spec, deliveries and node counters alone, so nothing reported here can
-move a byte of it (tested in ``tests/test_determinism.py``).
+The ticker is an **observational side-channel**: its numbers ride the
+fleet pool's heartbeat queue and are derived purely from wall-clock and
+completion counts, and run records carry no wall clock, so nothing
+reported here can move a stored byte.
 
-``run_sharded(..., progress=ShardProgressTicker())`` prints an ETA line
-per epoch batch; ``run_specs(..., progress=FleetTicker(...))`` prints
-per-spec start/finish heartbeats with a fleet-level ETA.
+``run_specs(..., progress=FleetTicker(...))`` prints per-spec
+start/finish heartbeats with a fleet-level ETA.
 """
 
 from __future__ import annotations
 
 import sys
 import time as _time
-from dataclasses import dataclass
-from typing import List, Optional, TextIO, Tuple
+from typing import Optional, TextIO, Tuple
 
-__all__ = ["EpochProgress", "ShardProgressTicker", "FleetTicker"]
-
-
-@dataclass
-class EpochProgress:
-    """One conservative-epoch snapshot reported by the shard master."""
-
-    epoch: int
-    window_start: float
-    window_end: float
-    duration_us: float
-    #: Boundary events handed to workers with this window.
-    boundary_backlog: int
-    #: Cumulative events executed across all strips.
-    events: int
-    #: Wall seconds since the sharded run started.
-    wall_s: float
-    #: Per-worker cumulative (events, busy_s, stall_s); ``stall`` is time
-    #: spent waiting for the next window — the lookahead-stall share.
-    workers: List[Tuple[int, float, float]]
-
-    @property
-    def virtual_fraction(self) -> float:
-        """Fraction of the injection window the clock has crossed."""
-        if self.duration_us <= 0:
-            return 1.0
-        return max(0.0, min(1.0, self.window_start / self.duration_us))
-
-    @property
-    def eta_s(self) -> Optional[float]:
-        """Wall seconds to finish, extrapolated from virtual progress."""
-        fraction = self.virtual_fraction
-        if fraction <= 0.0:
-            return None
-        return self.wall_s * (1.0 - fraction) / fraction
-
-    def stall_fractions(self) -> List[float]:
-        """Per-worker share of wall time spent waiting for a window."""
-        out = []
-        for _events, busy_s, stall_s in self.workers:
-            total = busy_s + stall_s
-            out.append(stall_s / total if total > 0 else 0.0)
-        return out
-
-    def line(self) -> str:
-        eta = self.eta_s
-        eta_text = f"{eta:.1f}s" if eta is not None else "?"
-        stalls = self.stall_fractions()
-        stall_text = f"{100.0 * max(stalls):.0f}%" if stalls else "-"
-        return (
-            f"epoch {self.epoch}: t={self.window_start:.1f}"
-            f"/{self.duration_us:.0f}us "
-            f"({100.0 * self.virtual_fraction:.0f}%) "
-            f"events={self.events} boundary={self.boundary_backlog} "
-            f"worst stall {stall_text} eta {eta_text}"
-        )
-
-
-class ShardProgressTicker:
-    """Rate-limited printer for :class:`EpochProgress` callbacks.
-
-    Epochs can be sub-millisecond, so the ticker prints at most once per
-    ``min_interval_s`` of wall time (plus the first and every explicitly
-    flushed epoch) instead of one line per epoch.
-    """
-
-    def __init__(
-        self, min_interval_s: float = 0.5, out: Optional[TextIO] = None
-    ):
-        self.min_interval_s = min_interval_s
-        self.out = out if out is not None else sys.stderr
-        self.last: Optional[EpochProgress] = None
-        self._last_print = 0.0
-        self.lines_printed = 0
-
-    def __call__(self, progress: EpochProgress) -> None:
-        self.last = progress
-        now = _time.perf_counter()
-        if self.lines_printed and now - self._last_print < self.min_interval_s:
-            return
-        self._last_print = now
-        self.lines_printed += 1
-        print(progress.line(), file=self.out, flush=True)
+__all__ = ["FleetTicker"]
 
 
 class FleetTicker:

@@ -1,51 +1,36 @@
-"""Sharded large-mesh simulation: conservative-lookahead parallel DES.
+"""Large-mesh simulation: a keyed packet model past the paper's 16 nodes.
 
-Everything in :mod:`repro.sim` runs one event loop on one core, which caps
-mesh studies at a few dozen nodes.  This package is the way past that wall:
-the mesh is cut into ``k`` spatial partitions, each owned by a worker
-process running its own event loop, with boundary links realized as
-inter-partition message queues and a conservative lookahead window equal to
-the minimum time any packet needs to cross a partition boundary
-(barrier-synchronized epochs, the classic conservative parallel-DES
-protocol).
-
-The load-bearing property is the **determinism contract** (DESIGN.md
-section 16): a sharded run reproduces the single-process run of the same
-:class:`ShardSpec` *byte for byte* — same deliveries, same per-node
-counters, same event count — for any worker count, because every event
-carries a partition-invariant total-order key ``(time, node, src, seq)``
-instead of the engine's insertion-ordered sequence number.
+The full :class:`repro.node.Machine` simulates every NIC register and bus
+transaction, which caps mesh studies at a few dozen nodes.  This package
+is the scale regime's counterpart: a store-and-forward packet mesh with
+XY routing and open-loop per-node traffic, run single-process on a small
+keyed event loop (DESIGN.md section 16).  Every event carries the total
+order key ``(time, node, src, seq)``, and a run's identity is the
+sha256 of its canonical event stream
+(:meth:`ShardRunResult.telemetry_digest`).
 
 Entry points::
 
-    from repro.shard import ShardSpec, run_serial, run_sharded
+    from repro.shard import ShardSpec, run_serial
 
-    spec = ShardSpec(width=16, height=16, workload="transpose")
-    serial = run_serial(spec)
-    sharded = run_sharded(spec, workers=4)
-    assert serial.telemetry_digest() == sharded.telemetry_digest()
+    result = run_serial(ShardSpec(width=16, height=16, workload="transpose"))
+    print(result.summary(), result.telemetry_digest())
 
 or from the command line::
 
-    python -m repro.shard run --nodes 256 --workers 4
-    python -m repro.shard verify --nodes 64 --workers 4
-    python -m repro.shard scaling --nodes 64,256 --workers 1,2,4
+    python -m repro.shard run --nodes 256 --workload transpose --digest
 """
 
 from .kernel import ShardKernel
 from .model import INJECT_SRC, PartitionSim, ShardSpec, spec_for_nodes
-from .partition import PartitionPlan, plan_partitions
-from .runner import ShardRunResult, run_serial, run_sharded
+from .runner import ShardRunResult, run_serial
 
 __all__ = [
     "INJECT_SRC",
-    "PartitionPlan",
     "PartitionSim",
     "ShardKernel",
     "ShardRunResult",
     "ShardSpec",
-    "plan_partitions",
     "run_serial",
-    "run_sharded",
     "spec_for_nodes",
 ]

@@ -1,14 +1,10 @@
-"""The per-partition event kernel: a keyed, partition-invariant loop.
+"""The large-mesh event kernel: a keyed, history-free event loop.
 
 Why not :class:`repro.sim.Simulator`?  The engine orders same-time events
-by an insertion-ordered sequence number — bit-for-bit reproducible for one
-process, but *partition-dependent*: which events interleave their
-insertions depends on which nodes share a loop, so a 4-worker run would
-tie-break same-time link contention differently than the single-process
-run and the telemetry streams would diverge.
-
-This kernel replaces the sequence number with a **model-assigned total
-order key**.  Every event is the tuple::
+by an insertion-ordered sequence number, so its tie-breaks depend on the
+order in which handlers happened to schedule.  This kernel replaces the
+sequence number with a **model-assigned total order key**.  Every event
+is the tuple::
 
     (time, node, src, seq, payload)
 
@@ -23,15 +19,13 @@ guarantees (see DESIGN.md section 16):
   state is owned by the link's source node), so ordering between them is
   fixed by ``(src, seq)`` alone.
 
-Under those rules the restriction of the global key order to any subset of
-nodes is exactly what a partition owning those nodes executes — which is
-the whole determinism argument for :mod:`repro.shard.runner`.
+The committed large-mesh digests are defined by this order.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 __all__ = ["ShardKernel", "ShardEvent"]
 
@@ -40,13 +34,10 @@ ShardEvent = Tuple[float, int, int, int, object]
 
 
 class ShardKernel:
-    """A minimal keyed event loop for one partition.
+    """A minimal keyed event loop.
 
     ``handler`` is called with each popped event; it may call :meth:`push`
-    to schedule further events (strictly later in time).  ``run_window``
-    is the conservative-epoch primitive: it executes every pending event
-    with ``time < end`` and leaves the rest queued, so the runner can
-    alternate execution windows with boundary-message exchanges.
+    to schedule further events (strictly later in time).
     """
 
     __slots__ = ("handler", "_heap", "events_processed")
@@ -54,32 +45,14 @@ class ShardKernel:
     def __init__(self, handler: Callable[[ShardEvent], None]):
         self.handler = handler
         self._heap: List[ShardEvent] = []
-        #: Total events executed (the scaling studies' throughput basis).
+        #: Total events executed (the large-mesh tables' event counts).
         self.events_processed = 0
 
     def push(self, event: ShardEvent) -> None:
         heappush(self._heap, event)
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def next_time(self) -> Optional[float]:
-        """Timestamp of the earliest pending event (None when drained)."""
-        return self._heap[0][0] if self._heap else None
-
-    def run_window(self, end: float) -> int:
-        """Execute every event with ``time < end``; return how many ran."""
-        heap = self._heap
-        handler = self.handler
-        count = 0
-        while heap and heap[0][0] < end:
-            handler(heappop(heap))
-            count += 1
-        self.events_processed += count
-        return count
-
     def run_all(self) -> int:
-        """Drain the queue completely (the single-process path)."""
+        """Drain the queue completely; return how many events ran."""
         heap = self._heap
         handler = self.handler
         count = 0

@@ -4,10 +4,10 @@ The full :class:`repro.node.Machine` simulates every NIC register and bus
 transaction — the right fidelity at 16 nodes, and the wrong one at 1024.
 This model is the scale regime's counterpart: a store-and-forward
 packet-level mesh with XY routing, per-link output queueing and open-loop
-per-node traffic, built so that every event carries the partition-invariant
-key required by :class:`repro.shard.kernel.ShardKernel`.
+per-node traffic, built so that every event carries the total order key
+required by :class:`repro.shard.kernel.ShardKernel`.
 
-State ownership is what makes partitioning exact:
+State ownership is what keeps that order well defined:
 
 * every **directed link** ``(a, b)`` is owned by its source node ``a`` —
   only events executing *at* ``a`` touch its ``busy_until`` clock, so two
@@ -17,11 +17,7 @@ State ownership is what makes partitioning exact:
   are touched only by events at that node.
 
 A packet that crosses a link becomes an arrival event at the far node with
-timestamp ``service_end + hop_latency``; when the far node lives in
-another partition, that event *is* the boundary message.  Its timestamp
-exceeds the send time by at least ``header_bytes / link_bandwidth +
-hop_latency_us`` — the spec's :attr:`~ShardSpec.lookahead_us`, the
-conservative window the runner synchronizes on.
+timestamp ``service_end + hop_latency``.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim.rng import named_stream
 from .kernel import ShardEvent, ShardKernel
@@ -51,9 +47,10 @@ WORKLOADS: Dict[str, str] = {
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One large-mesh run: topology, traffic and timing, minus the worker
-    count — sharding is an execution strategy, not part of the experiment's
-    identity, which is what lets any worker count reproduce the same bytes.
+    """One large-mesh run: topology, traffic and timing.
+
+    Every field is part of the run's identity: :meth:`to_json` is the
+    first line of the stream its digest hashes.
     """
 
     width: int
@@ -67,8 +64,7 @@ class ShardSpec:
     seed: int = 1998
     #: Per-link propagation/router latency.  Deliberately larger than the
     #: wormhole fall-through of the 16-node machine: it models the longer
-    #: chassis-to-chassis wires of a cabinet-scale mesh, and it is the
-    #: dominant term of the conservative lookahead window.
+    #: chassis-to-chassis wires of a cabinet-scale mesh.
     hop_latency_us: float = 0.5
     #: Link bandwidth, bytes per microsecond.
     link_bandwidth: float = 200.0
@@ -76,7 +72,7 @@ class ShardSpec:
     #: Share of injections aimed at node 0 under the ``hotspot`` pattern.
     hotspot_fraction: float = 0.125
     #: Keep per-delivery records (the byte-identity stream carries them).
-    #: Scaling sweeps turn this off and compare counters only.
+    #: The large-mesh tables turn this off and report counters only.
     record_deliveries: bool = True
 
     def __post_init__(self):
@@ -99,17 +95,6 @@ class ShardSpec:
     @property
     def num_nodes(self) -> int:
         return self.width * self.height
-
-    @property
-    def lookahead_us(self) -> float:
-        """Minimum boundary-crossing time: the conservative window length.
-
-        Any packet handed to another partition pays at least one header's
-        serialization plus one hop of propagation, so an event executed at
-        local time ``t`` can only create remote events at or after
-        ``t + lookahead_us`` — the classic conservative-DES bound.
-        """
-        return self.hop_latency_us + self.header_bytes / self.link_bandwidth
 
     def to_json(self) -> Dict:
         """Canonical form; the first line of the identity stream."""
@@ -136,50 +121,36 @@ def spec_for_nodes(nodes: int, **overrides) -> ShardSpec:
 
 
 class PartitionSim:
-    """One partition's share of the model: a kernel plus owned state.
+    """The whole model: a kernel plus every node's and link's state."""
 
-    ``part_of`` maps every node to its partition index; events routed to a
-    node with a different partition accumulate in :attr:`outbound` for the
-    runner to exchange at the next epoch barrier.  With ``part_of`` all
-    zeros and ``me == 0`` this is the single-process model — the serial and
-    sharded paths execute the identical handler code on identical floats.
-    """
-
-    def __init__(self, spec: ShardSpec, me: int, part_of: List[int]):
+    def __init__(self, spec: ShardSpec):
         self.spec = spec
-        self.me = me
-        self.part_of = part_of
         self.kernel = ShardKernel(self._handle)
-        self.owned = [n for n in range(spec.num_nodes) if part_of[n] == me]
+        nodes = range(spec.num_nodes)
         #: node -> [injected, delivered, latency_sum, latency_max, hops_sum,
         #: last_delivery_t]
         self.node_stats: Dict[int, List[float]] = {
-            node: [0, 0, 0.0, 0.0, 0, 0.0] for node in self.owned
+            node: [0, 0, 0.0, 0.0, 0, 0.0] for node in nodes
         }
         #: (time, node, src, seq, inject_t, hops) per delivered packet.
         self.deliveries: List[Tuple] = []
-        #: (dest_partition, event) pairs generated since the last drain.
-        self.outbound: List[Tuple[int, ShardEvent]] = []
-        self.boundary_sent = 0
-        self._rngs = {
-            node: named_stream(spec.seed, "shard", node) for node in self.owned
-        }
-        self._seqs = {node: 0 for node in self.owned}
-        self._neighbor_cursor = {node: 0 for node in self.owned}
+        self._rngs = {node: named_stream(spec.seed, "shard", node) for node in nodes}
+        self._seqs = {node: 0 for node in nodes}
+        self._neighbor_cursor = {node: 0 for node in nodes}
         self._busy: Dict[Tuple[int, int], float] = {}
         self._neighbors: Dict[int, List[int]] = {}
         if spec.workload == "neighbor":
             from ..network.topology import MeshTopology
 
             topo = MeshTopology(spec.width, spec.height)
-            self._neighbors = {node: topo.neighbors(node) for node in self.owned}
+            self._neighbors = {node: topo.neighbors(node) for node in nodes}
 
     # -- setup -----------------------------------------------------------
 
     def seed_injections(self) -> None:
-        """Schedule each owned node's first injection (uniform phase)."""
+        """Schedule each node's first injection (uniform phase)."""
         spec = self.spec
-        for node in self.owned:
+        for node in range(spec.num_nodes):
             first = self._rngs[node].random() * spec.inject_interval_us
             if first < spec.duration_us:
                 seq = self._seqs[node]
@@ -247,7 +218,7 @@ class PartitionSim:
         Output queueing with a per-link ``busy_until`` clock: service
         starts when the link frees, takes one serialization time, then the
         packet propagates for one hop latency.  The link is owned by
-        ``node``, so this mutation is partition-local by construction.
+        ``node``, so only events at ``node`` ever touch its clock.
         """
         spec = self.spec
         width = spec.width
@@ -269,12 +240,7 @@ class PartitionSim:
             packet[1],
             (packet[0], packet[1], packet[2], packet[3], packet[4], packet[5] + 1),
         )
-        dest_part = self.part_of[nxt]
-        if dest_part == self.me:
-            self.kernel.push(arrival)
-        else:
-            self.boundary_sent += 1
-            self.outbound.append((dest_part, arrival))
+        self.kernel.push(arrival)
 
     def _forward(self, time: float, node: int, packet: Tuple) -> None:
         self._enqueue(time, node, packet)
@@ -294,17 +260,7 @@ class PartitionSim:
         if self.spec.record_deliveries:
             self.deliveries.append((time, node, src, seq, packet[4], packet[5]))
 
-    # -- runner interface ------------------------------------------------
-
-    def take_outbound(self) -> List[Tuple[int, ShardEvent]]:
-        out, self.outbound = self.outbound, []
-        return out
-
-    def insert(self, events: List[ShardEvent]) -> None:
-        for event in events:
-            self.kernel.push(event)
-
 
 def canonical_spec_line(spec: ShardSpec) -> str:
-    """The identity stream's header line (workers are execution detail)."""
+    """The identity stream's header line."""
     return "spec " + json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":"))

@@ -1,61 +1,40 @@
-"""Serial and sharded execution of a :class:`ShardSpec`.
+"""Running a :class:`ShardSpec`: one kernel holding every node.
 
-``run_serial`` drains one kernel holding every node — the reference
-trajectory.  ``run_sharded`` cuts the mesh into worker-process strips and
-advances them in **conservative barrier epochs**:
-
-1. the master picks the next window ``[T, T + lookahead)`` with ``T`` the
-   globally earliest pending event (idle regions are skipped wholesale);
-2. every worker receives the window plus the boundary messages routed to
-   it, executes exactly its events with ``time < T + lookahead`` in key
-   order, and replies with its new earliest pending time and the arrival
-   events it generated for other strips;
-3. repeat until no worker has pending events and no message is in flight.
-
-Safety is the lookahead bound: an event executed in ``[T, T + L)`` can
-only create remote events at ``>= T + L`` (every boundary crossing pays at
-least one header serialization plus one hop), so by induction every
-message reaches its strip's kernel before the window containing its
-timestamp runs.  Combined with the kernel's partition-invariant key order
-this makes the sharded trajectory *identical* — not statistically close —
-to the serial one: same deliveries, same counters, same event count, byte
-for byte.  ``ShardRunResult.telemetry_digest()`` is the gate CI holds.
+``run_serial`` seeds every node's injections, drains the kernel and
+returns a :class:`ShardRunResult`, whose ``telemetry_digest()`` is the
+run's identity (pinned in ``tests/test_shard.py`` and by the CI
+``largemesh-smoke`` entry).
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .model import PartitionSim, ShardSpec, canonical_spec_line
-from .partition import plan_partitions
 
-__all__ = ["ShardRunResult", "run_serial", "run_sharded"]
+__all__ = ["ShardRunResult", "run_serial"]
 
 
 @dataclass
 class ShardRunResult:
-    """Merged outcome of one run (serial or sharded).
+    """Outcome of one run.
 
-    Everything except ``workers``, ``epochs``, ``boundary_msgs`` and
-    ``wall_s`` is a pure function of the spec; those four describe the
-    execution strategy and host and are excluded from the identity stream.
+    Everything except ``wall_s`` is a pure function of the spec; the wall
+    time describes the host and is excluded from the identity stream.
     """
 
     spec: ShardSpec
-    workers: int
     #: node -> [injected, delivered, latency_sum, latency_max, hops_sum,
     #: last_delivery_t]
     node_stats: Dict[int, List[float]] = field(repr=False)
-    #: Sorted (time, node, src, seq, inject_t, hops) delivery records, or
-    #: None when the spec disabled per-delivery recording.
+    #: (time, node, src, seq, inject_t, hops) delivery records in key
+    #: order (the order they ran), or None when the spec disabled
+    #: per-delivery recording.
     deliveries: Optional[List[Tuple]] = field(default=None, repr=False)
     events: int = 0
-    epochs: int = 0
-    boundary_msgs: int = 0
     wall_s: float = 0.0
 
     # -- derived metrics -------------------------------------------------
@@ -146,243 +125,25 @@ class ShardRunResult:
 
     def summary(self) -> str:
         return (
-            f"{self.spec.describe()} workers={self.workers}: "
+            f"{self.spec.describe()}: "
             f"{self.packets_delivered}/{self.packets_injected} packets, "
             f"mean latency {self.mean_latency_us:.2f}us "
             f"(max {self.latency_max_us:.2f}us, {self.mean_hops:.1f} hops), "
             f"{self.events} events in {self.wall_s:.3f}s wall "
-            f"({self.events_per_sec:,.0f} ev/s, {self.epochs} epochs, "
-            f"{self.boundary_msgs} boundary msgs)"
+            f"({self.events_per_sec:,.0f} ev/s)"
         )
-
-
-def _finish(
-    spec: ShardSpec,
-    workers: int,
-    node_stats: Dict[int, List[float]],
-    deliveries: Optional[List[Tuple]],
-    events: int,
-    epochs: int,
-    boundary: int,
-    wall_s: float,
-) -> ShardRunResult:
-    if deliveries is not None:
-        deliveries.sort()
-    return ShardRunResult(
-        spec=spec,
-        workers=workers,
-        node_stats=node_stats,
-        deliveries=deliveries,
-        events=events,
-        epochs=epochs,
-        boundary_msgs=boundary,
-        wall_s=wall_s,
-    )
 
 
 def run_serial(spec: ShardSpec) -> ShardRunResult:
-    """The single-process reference: one kernel, every node, no windows."""
+    """Run ``spec`` to completion: one kernel, every node."""
     start = _time.perf_counter()
-    plan = plan_partitions(spec, 1)
-    sim = PartitionSim(spec, 0, plan.part_of)
+    sim = PartitionSim(spec)
     sim.seed_injections()
     sim.kernel.run_all()
-    return _finish(
-        spec,
-        1,
-        sim.node_stats,
-        sim.deliveries if spec.record_deliveries else None,
-        sim.kernel.events_processed,
-        0,
-        0,
-        _time.perf_counter() - start,
-    )
-
-
-# -- the worker side -----------------------------------------------------
-
-
-def _worker_main(conn, spec: ShardSpec, me: int, workers: int) -> None:
-    """One strip's process: build, then serve epoch requests until fin.
-
-    When the master's ``win`` message carries the want-progress flag, the
-    ``done`` reply grows a cumulative ``(events, busy_s, stall_s)`` tail:
-    wall time inside ``run_window`` vs wall time spent waiting for the
-    next window (the lookahead stall).  This is an observational
-    side-channel only — nothing in it feeds ``node_stats`` or
-    ``deliveries``, the sole inputs of the identity stream — and without
-    the flag the message shapes are exactly the classic protocol.
-    """
-    plan = plan_partitions(spec, workers)
-    sim = PartitionSim(spec, me, plan.part_of)
-    sim.seed_injections()
-    conn.send(("ready", sim.kernel.next_time()))
-    busy_s = 0.0
-    stall_s = 0.0
-    last_reply = _time.perf_counter()
-    while True:
-        message = conn.recv()
-        if message[0] == "win":
-            received = _time.perf_counter()
-            _start, end, incoming = message[1], message[2], message[3]
-            want_progress = len(message) > 4 and message[4]
-            sim.insert(incoming)
-            sim.kernel.run_window(end)
-            grouped: Dict[int, List] = {}
-            for part, event in sim.take_outbound():
-                grouped.setdefault(part, []).append(event)
-            if want_progress:
-                replied = _time.perf_counter()
-                stall_s += received - last_reply
-                busy_s += replied - received
-                last_reply = replied
-                conn.send(
-                    (
-                        "done",
-                        sim.kernel.next_time(),
-                        grouped,
-                        (sim.kernel.events_processed, busy_s, stall_s),
-                    )
-                )
-            else:
-                conn.send(("done", sim.kernel.next_time(), grouped))
-        else:  # "fin"
-            conn.send(
-                (
-                    "stats",
-                    sim.node_stats,
-                    sim.deliveries if spec.record_deliveries else None,
-                    sim.kernel.events_processed,
-                    sim.boundary_sent,
-                )
-            )
-            conn.close()
-            return
-
-
-def _context():
-    """Fork where available (cheap workers); spawn elsewhere."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
-        return multiprocessing.get_context("spawn")
-
-
-def run_sharded(
-    spec: ShardSpec, workers: int, ctx=None, progress=None
-) -> ShardRunResult:
-    """Run ``spec`` across ``workers`` strip processes (clamped to the
-    cut-axis length); byte-identical to :func:`run_serial` by contract.
-
-    ``progress``, when given, is called once per epoch with an
-    :class:`repro.obs.EpochProgress` snapshot (window bounds, boundary
-    backlog, cumulative events, per-worker busy/stall wall time).  The
-    snapshot is assembled from the side-channel tail of the ``done``
-    replies, which carries no simulation state — ``telemetry_digest()``
-    is a function of the spec header, deliveries and node stats alone,
-    so a progress-on run is byte-identical to a progress-off run.
-    Ignored on the single-worker (serial) path.
-    """
-    plan = plan_partitions(spec, workers)
-    if plan.workers == 1:
-        return run_serial(spec)
-    start_wall = _time.perf_counter()
-    ctx = ctx or _context()
-    lookahead = spec.lookahead_us
-    pipes = [ctx.Pipe() for _ in range(plan.workers)]
-    procs = [
-        ctx.Process(
-            target=_worker_main,
-            args=(child, spec, part, plan.workers),
-            daemon=True,
-        )
-        for part, (_parent, child) in enumerate(pipes)
-    ]
-    conns = [parent for parent, _child in pipes]
-    for proc in procs:
-        proc.start()
-    for _parent, child in pipes:
-        child.close()
-    try:
-        next_times: List[Optional[float]] = []
-        for conn in conns:
-            tag, next_time = conn.recv()
-            assert tag == "ready"
-            next_times.append(next_time)
-        pending: List[List] = [[] for _ in range(plan.workers)]
-        epochs = 0
-        want_progress = progress is not None
-        worker_progress: List[Tuple[int, float, float]] = [
-            (0, 0.0, 0.0) for _ in range(plan.workers)
-        ]
-        while True:
-            horizon = [t for t in next_times if t is not None]
-            horizon.extend(
-                event[0] for events in pending for event in events
-            )
-            if not horizon:
-                break
-            window_start = min(horizon)
-            window_end = window_start + lookahead
-            backlog = sum(len(events) for events in pending)
-            for part, conn in enumerate(conns):
-                if want_progress:
-                    conn.send(
-                        ("win", window_start, window_end, pending[part], True)
-                    )
-                else:
-                    conn.send(("win", window_start, window_end, pending[part]))
-                pending[part] = []
-            for part, conn in enumerate(conns):
-                reply = conn.recv()
-                next_times[part] = reply[1]
-                for dest, events in reply[2].items():
-                    pending[dest].extend(events)
-                if want_progress:
-                    worker_progress[part] = reply[3]
-            epochs += 1
-            if want_progress:
-                from ..obs.progress import EpochProgress
-
-                progress(
-                    EpochProgress(
-                        epoch=epochs,
-                        window_start=window_start,
-                        window_end=window_end,
-                        duration_us=spec.duration_us,
-                        boundary_backlog=backlog,
-                        events=sum(p[0] for p in worker_progress),
-                        wall_s=_time.perf_counter() - start_wall,
-                        workers=list(worker_progress),
-                    )
-                )
-        node_stats: Dict[int, List[float]] = {}
-        deliveries: Optional[List[Tuple]] = (
-            [] if spec.record_deliveries else None
-        )
-        events = 0
-        boundary = 0
-        for conn in conns:
-            conn.send(("fin",))
-        for conn in conns:
-            _tag, stats, part_deliveries, part_events, part_boundary = conn.recv()
-            node_stats.update(stats)
-            if deliveries is not None:
-                deliveries.extend(part_deliveries)
-            events += part_events
-            boundary += part_boundary
-    finally:
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-    return _finish(
-        spec,
-        plan.workers,
-        node_stats,
-        deliveries,
-        events,
-        epochs,
-        boundary,
-        _time.perf_counter() - start_wall,
+    return ShardRunResult(
+        spec=spec,
+        node_stats=sim.node_stats,
+        deliveries=sim.deliveries if spec.record_deliveries else None,
+        events=sim.kernel.events_processed,
+        wall_s=_time.perf_counter() - start,
     )

@@ -5,9 +5,7 @@ fabric behaves as the topology grows to cabinet scale.  Each cell runs
 the :mod:`repro.shard` packet model — store-and-forward XY routing with
 per-link output queueing — at one (mesh, traffic pattern) point and
 reports delivered packets, latency and hop statistics in **virtual time**
-only, so the tables are byte-stable on any host and any worker count
-(the shard determinism contract makes serial and sharded execution
-byte-identical).
+only, so the tables are byte-stable on any host.
 """
 
 from __future__ import annotations

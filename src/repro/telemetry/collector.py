@@ -68,13 +68,9 @@ class Telemetry:
         clock: Callable[[], float],
         limit: int = 1_000_000,
         current_process: Optional[Callable[[], Any]] = None,
-        timeline_cap: Optional[int] = None,
     ):
         self._clock = clock
         self.limit = limit
-        #: Retention cap handed to every Timeline this collector creates
-        #: (None: keep every point, the historical default).
-        self.timeline_cap = timeline_cap
         #: The raw event stream, in emission order.
         self.events: List[TelemetryEvent] = []
         self.dropped = 0
@@ -213,7 +209,7 @@ class Telemetry:
 
     def timeline(self, name: str, node: int = 0) -> Timeline:
         if name not in self.timelines:
-            self.timelines[name] = Timeline(name, node, cap=self.timeline_cap)
+            self.timelines[name] = Timeline(name, node)
         return self.timelines[name]
 
     # -- queries -----------------------------------------------------------

@@ -247,26 +247,14 @@ class Timeline:
     until the next sample.  Used for resource utilization: link busy state
     (0/1), FIFO fill bytes, CPU busy depth.  Queries integrate the step
     function, so ``busy_fraction`` is an exact utilization over a window,
-    not an average of samples.
-
-    By default every recorded point is kept — exact, but unbounded on
-    long runs.  ``cap=N`` (even, >= 8) bounds retention: when the buffer
-    reaches ``N`` points it is halved by dropping every other interior
-    point, always preserving the first and the current last point, so
-    ``last_value`` stays exact while the interior becomes progressively
-    coarser.  Integrals over a decimated timeline are approximations;
-    the default (``cap=None``) is byte-identical to the historical
-    behavior.
+    not an average of samples.  Every recorded point is kept.
     """
 
-    __slots__ = ("name", "node", "points", "cap")
+    __slots__ = ("name", "node", "points")
 
-    def __init__(self, name: str, node: int = 0, cap: Optional[int] = None):
-        if cap is not None and (cap < 8 or cap % 2):
-            raise ValueError(f"timeline cap must be even and >= 8, got {cap}")
+    def __init__(self, name: str, node: int = 0):
         self.name = name
         self.node = node
-        self.cap = cap
         self.points: List[Tuple[float, float]] = []
 
     def record(self, time: float, value: float) -> None:
@@ -279,14 +267,6 @@ class Timeline:
                 points[-1] = (time, value)
                 return
         points.append((time, value))
-        if self.cap is not None and len(points) >= self.cap:
-            # Halve by dropping every other interior point; keep the
-            # first point (the step function's origin) and the newest
-            # (so ``last_value`` and the backwards-time guard stay exact).
-            last = points[-1]
-            del points[1::2]
-            if points[-1] != last:
-                points.append(last)
 
     @property
     def last_value(self) -> float:

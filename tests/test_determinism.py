@@ -340,23 +340,3 @@ def test_obs_observation_does_not_perturb_chaos_serve():
         plain_report.overall.failed,
     )
     _assert_identical(plain, machine)
-
-
-def test_shard_progress_channel_is_off_the_identity_stream():
-    """A 64-node sharded run reporting per-epoch progress produces the
-    byte-identical telemetry stream of a silent one (and of the serial
-    reference): the side-channel rides the worker pipes but never feeds
-    deliveries or node stats."""
-    from repro.shard import run_serial, run_sharded, spec_for_nodes
-
-    spec = spec_for_nodes(64, duration_us=60.0)
-    epochs = []
-    silent = run_sharded(spec, 4)
-    chatty = run_sharded(spec, 4, progress=epochs.append)
-    # Sanity: the callback actually fired with plausible snapshots.
-    assert epochs
-    assert epochs[-1].epoch == chatty.epochs
-    assert epochs[-1].events > 0
-    assert all(len(p.workers) == chatty.workers for p in epochs)
-    assert chatty.telemetry_bytes() == silent.telemetry_bytes()
-    assert silent.telemetry_bytes() == run_serial(spec).telemetry_bytes()

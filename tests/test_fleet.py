@@ -208,6 +208,56 @@ def test_any_json_document_is_a_catalog_or_a_value_error(tmp_path, doc):
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
 
+# A param its workload does not read is an error, not a silent default:
+# from a catalog (exit 2 from the CLI, before anything runs) and from
+# the library.
+UNREAD_PARAMS = [
+    ({"workload": "ping", "nodes": 2, "params": {"nbyte": 512}}, "'nbyte'"),
+    ({"workload": "shard", "nodes": 64, "params": {"workers": 2}},
+     "'workers'"),
+    ({"workload": "study:micro", "params": {"nodes": 4}}, "'nodes'"),
+]
+
+
+@pytest.mark.parametrize("doc, param", UNREAD_PARAMS,
+                         ids=["ping-nbyte", "shard-workers", "study-nodes"])
+def test_unread_spec_param_is_rejected(tmp_path, capsys, doc, param):
+    from repro.fleet.__main__ import main as fleet_main
+
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"specs": [doc]}), encoding="utf-8")
+    workload = repr(doc["workload"])
+    with pytest.raises(ValueError, match=param) as excinfo:
+        load_catalog(str(path))
+    assert workload in str(excinfo.value)
+    store = tmp_path / "runs"
+    assert fleet_main(["run", "--matrix", str(path),
+                       "--store", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and param in err and workload in err
+    assert not store.exists()  # rejected before anything ran
+    spec = ExperimentSpec.from_json(doc)
+    with pytest.raises(ValueError, match=param):
+        resolve_workload(spec.workload).run(spec)
+
+
+def test_every_shipped_spec_reads_only_declared_params():
+    from repro.bench import REGISTRY
+    from repro.study import ExperimentRunner
+    from repro.study.__main__ import FAMILIES
+
+    specs = [spec for name in BUILTIN_MATRICES for spec in load_catalog(name)]
+    specs += [entry.spec for entry in REGISTRY.values()]
+    planner = ExperimentRunner()
+    for _description, in_all, emitter in FAMILIES.values():
+        if in_all:
+            emitter(planner, 16)
+    assert planner.planned
+    specs += planner.planned.values()
+    for spec in specs:
+        resolve_workload(spec.workload).check(spec)
+
+
 # -- record building -----------------------------------------------------
 
 

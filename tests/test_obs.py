@@ -337,31 +337,6 @@ def test_fleet_progress_events(tmp_path):
 # -- bounded telemetry retention ----------------------------------------
 
 
-def test_timeline_cap_bounds_and_preserves_endpoints():
-    from repro.telemetry.metrics import Timeline
-
-    capped = Timeline("x", cap=16)
-    exact = Timeline("x")
-    for i in range(5000):
-        capped.record(float(i), float(i % 7))
-        exact.record(float(i), float(i % 7))
-    assert len(exact.points) == 5000
-    assert len(capped.points) <= 16
-    assert capped.points[0] == exact.points[0]
-    assert capped.last_value == exact.last_value
-    with pytest.raises(ValueError):
-        Timeline("bad", cap=7)
-
-
-def test_telemetry_timeline_cap_threads_through():
-    machine = Machine(num_nodes=4, seed=3, telemetry=False)
-    telemetry = machine.enable_telemetry(timeline_cap=32)
-    timeline = telemetry.timeline("t.test")
-    assert timeline.cap == 32
-    uncapped = Machine(num_nodes=4, seed=3, telemetry=True)
-    assert uncapped.telemetry.timeline("t.test").cap is None
-
-
 def test_gauge_history_is_bounded():
     from repro.telemetry.metrics import Gauge
 

@@ -3,7 +3,10 @@
 Hypothesis drives two reliable channels out of node 0 (to nodes 1 and 2)
 with interleaved sync and async sends and clock advances, over a fault
 plan of its choosing: drops, corruption, node stalls and link outages
-(some permanent).  After every step:
+(some permanent).  A quarter of the plans are fragile: no retries, a
+short timeout, heavy corruption and two back-to-back 4-page async sends
+per channel, so a channel fails while a send is still issuing packets.
+After every step:
 
 * the receiver has accepted a prefix of each channel's packets, and its
   buffer accounts for exactly that prefix: each accepted byte counted
@@ -68,6 +71,7 @@ class _Channel:
 class ReliableVMMC(RuleBasedStateMachine):
     @initialize(
         seed=st.integers(0, 2**16),
+        fragile=st.integers(0, 3),
         drop_rate=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
         corrupt_rate=st.sampled_from([0.0, 0.05, 0.2]),
         node_stalls=st.integers(0, 3),
@@ -86,6 +90,7 @@ class ReliableVMMC(RuleBasedStateMachine):
     def build(
         self,
         seed,
+        fragile,
         drop_rate,
         corrupt_rate,
         node_stalls,
@@ -94,6 +99,11 @@ class ReliableVMMC(RuleBasedStateMachine):
         backoff,
         max_retries,
     ):
+        if fragile == 0:
+            # A quarter of the draws fail a channel while a send is still
+            # issuing packets: any corrupt packet is fatal, and the timer
+            # of one async send fires while the next is issuing.
+            corrupt_rate, timeout_us, max_retries = 0.2, 30.0, 0
         self.machine = Machine(num_nodes=4, seed=seed)
         plan = FaultPlan(
             FaultConfig(
@@ -124,6 +134,10 @@ class ReliableVMMC(RuleBasedStateMachine):
                 self._sender(sender, state, index, config), f"tx{index}"
             )
         self.sim.run()  # export, import and open; the senders then idle
+        if fragile == 0:
+            for which in range(len(DESTINATIONS)):
+                for _ in range(2):
+                    self.send(which, 4 * PAGE, False)
 
     def _export(self, state, index):
         state.buffer = yield from state.receiver.export(
