@@ -7,8 +7,9 @@ cheap to declare, run and keep:
 * :mod:`repro.fleet.catalog` — :class:`ExperimentSpec` (frozen,
   content-hash fingerprinted) and matrix expansion into a
   :class:`Catalog`;
-* :mod:`repro.fleet.workloads` — what a spec runs (collectives, pings,
-  the serving tier, any ``bench:`` benchmark, any ``study:`` family);
+* :mod:`repro.fleet.workloads` — what a spec runs (study applications,
+  microbenchmarks, reliability rings, collectives, pings, the serving
+  tier, ...);
 * :mod:`repro.fleet.runner` — serial or multiprocess fan-out with
   resumable cache hits;
 * :mod:`repro.fleet.store` — ``runs/<fingerprint>/record.json`` plus
@@ -42,7 +43,6 @@ from .workloads import (
     FleetWorkload,
     WORKLOADS,
     resolve_workload,
-    workload_names,
 )
 
 __all__ = [
@@ -64,5 +64,4 @@ __all__ = [
     "WORKLOADS",
     "FAULT_PLANS",
     "resolve_workload",
-    "workload_names",
 ]

@@ -117,10 +117,6 @@ def _cmd_workloads() -> int:
     print("workloads:")
     for name, workload in sorted(WORKLOADS.items()):
         print(f"  {name:<8}{workload.description}")
-    print("  bench:<name>   any benchmark in repro.bench (see `python -m "
-          "repro.bench run --help`)")
-    print("  study:<family> any study family (see `python -m repro.study "
-          "--help`)")
     print("\nfault plans:")
     for name, knobs in FAULT_PLANS.items():
         print(f"  {name:<10}{knobs if knobs is not None else 'perfect fabric'}")

@@ -63,15 +63,14 @@ _SCALARS = (str, int, float, bool)
 class ExperimentSpec:
     """One cell of the experiment matrix (hashable, content-addressed)."""
 
-    #: Fleet workload name: a registry entry (``coll``, ``ping``,
-    #: ``serve``), ``bench:<name>`` for a curated benchmark, or
-    #: ``study:<family>`` for a study-family report.
+    #: Fleet workload name: an entry of
+    #: :data:`repro.fleet.workloads.WORKLOADS` (``app``, ``coll``, ...).
     workload: str
     #: Platform profile (``shrimp`` or ``myrinet``; see study.platforms).
     platform: str = "shrimp"
     #: Named fault plan (see :data:`repro.fleet.workloads.FAULT_PLANS`).
     fault_plan: str = "none"
-    #: Mesh size for workloads that take one (ignored by ``bench:``).
+    #: Mesh size for workloads that take one.
     nodes: int = 16
     #: Master seed for the run.
     seed: int = 1998

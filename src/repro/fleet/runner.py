@@ -4,10 +4,10 @@
 against the store, and executes only the misses (and invalid records,
 which are re-run rather than served).  Execution happens either inline
 (``workers <= 1``) or on a ``concurrent.futures`` process pool — every
-worker runs the workload **in-process** via the existing study/bench
-entry points and writes its own ``runs/<fingerprint>/`` directory, so
-parallel workers never share mutable state and a 2-worker fan-out
-produces byte-identical records to a serial run (tested).  A worker
+worker runs the spec's fleet workload **in-process** and writes its own
+``runs/<fingerprint>/`` directory, so parallel workers never share
+mutable state and a 2-worker fan-out produces byte-identical records to
+a serial run (tested).  A worker
 that dies outright (SIGKILL, the OOM killer) fails the specs that had
 not finished instead of wedging the run.
 
@@ -20,7 +20,6 @@ paired-bootstrap comparison machinery.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -157,6 +156,7 @@ def _run_pool(
     """
     # Imported here, so that ``import repro`` does not load the process
     # pool's modules (about 1 MB resident) into every simulation.
+    import multiprocessing
     import queue
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool

@@ -19,19 +19,21 @@ build, and tests and examples drive :func:`spawn_fan_in` and
   (default) runs NX barriers after a warm-up one, ``mode`` placing the
   barrier; ``api=coll`` drives :class:`repro.coll.CollWorld` directly
   with ``op=barrier|allreduce|bcast`` and no warm-up.
-* ``micro`` — a section 4.1 microbenchmark (``measure=...``).
+* ``micro`` — a section 4.1 microbenchmark (``measure=...``); one
+  sample, also the ``metrics`` entry named by the measure.
 * ``monitor`` — a fault scenario with the health monitor armed
   (``scenario=outage|overflow|fanin|serve-smoke``); no samples, and the
   report holds the trip report and the rendered postmortem.
 * ``ping`` — ``spec.nodes - 1`` senders streaming into node 0
   (``reliable=1``: over go-back-N); samples are ``vmmc.send`` spans.
+* ``ring`` — the reliability study's all-nodes ring transfer
+  (``mode=du|au``, ``reliable=1``: DU over go-back-N) on the spec's
+  fault plan; one sample (DU elapsed time, or the AU bytes lost in %),
+  with the run's counters in ``metrics``.
 * ``serve`` — a :class:`repro.serve.ServeCluster` run; samples are
   ``serve.request`` spans, or with ``measure=goodput`` the goodput.
 * ``shard`` — the large-mesh packet model (:mod:`repro.shard`); samples
   are per-delivery latencies.
-* ``bench:<name>`` — a :mod:`repro.bench` entry's spec at ``spec.seed``.
-* ``study:<family>`` — a :data:`repro.study.__main__.FAMILIES` report,
-  rendered in-process (its app runs one after another).
 
 Span samples drop each node's cold first op.  Platforms come from
 :mod:`repro.study.platforms`; fault plans are the named entries of
@@ -40,7 +42,7 @@ Span samples drop each node's cold first op.  Platforms come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import critpath
@@ -52,6 +54,7 @@ __all__ = [
     "FAULT_PLANS",
     "PLATFORMS",
     "COLL_MODES",
+    "MICRO_MEASURES",
     "spawn_stream",
     "spawn_fan_in",
     "spawn_outage",
@@ -59,7 +62,6 @@ __all__ = [
     "spawn_nx_coll",
     "spawn_coll_ops",
     "resolve_workload",
-    "workload_names",
     "app_result",
 ]
 
@@ -121,6 +123,8 @@ class FleetWorkload:
 FAULT_PLANS: Dict[str, Optional[dict]] = {
     "none": None,
     "drop1": {"drop_rate": 0.01},
+    "drop2": {"drop_rate": 0.02},
+    "drop5": {"drop_rate": 0.05},
     "drop10": {"drop_rate": 0.1},
     "corrupt1": {"corrupt_rate": 0.01},
     "outage": {"link_outages": 1, "outage_duration_us": 500.0},
@@ -140,8 +144,9 @@ COLL_MODES: Dict[str, tuple] = {
 
 _COLL_OPS = ("barrier", "allreduce", "bcast")
 
-_MICRO_MEASURES = ("du_word_latency", "au_word_latency", "du_send_overhead",
-                   "du_bulk_bandwidth", "au_bulk_bandwidth")
+#: The ``micro`` workload's ``measure`` values, in report order.
+MICRO_MEASURES = ("du_word_latency", "au_word_latency", "du_send_overhead",
+                  "du_bulk_bandwidth", "au_bulk_bandwidth")
 
 
 def _fault_config(spec) -> Optional[object]:
@@ -727,16 +732,39 @@ def _run_micro(spec) -> FleetResult:
 
     _require_defaults(spec)
     measure = spec.param("measure")
-    if measure not in _MICRO_MEASURES:
+    if measure not in MICRO_MEASURES:
         raise ValueError(
-            f"unknown micro measure {measure!r}; choose from {_MICRO_MEASURES}"
+            f"unknown micro measure {measure!r}; choose from {MICRO_MEASURES}"
         )
     bandwidth = measure.endswith("_bandwidth")
+    value = getattr(micro, measure)()
     return FleetResult(
         unit="MB/s" if bandwidth else "us",
         higher_is_better=bandwidth,
-        samples=[getattr(micro, measure)()],
+        samples=[value],
+        metrics={measure: value},
     )
+
+
+def _run_ring(spec) -> FleetResult:
+    """The reliability study's ring transfer on the spec's fault plan."""
+    from ..study.reliability import au_loss_run, du_reliability_run
+
+    mode = spec.param("mode", "du")
+    reliable = bool(spec.param("reliable", False))
+    if mode not in ("du", "au"):
+        raise ValueError(f"unknown ring mode {mode!r}; choose from du, au")
+    if mode == "au" and reliable:
+        raise ValueError("automatic update has no reliable mode")
+    machine = _machine(spec, spec.nodes, observe=False)
+    if mode == "du":
+        metrics = du_reliability_run(machine, reliable)
+        unit, sample = "us", metrics["elapsed_us"]
+    else:
+        metrics = au_loss_run(machine)
+        unit, sample = "%", metrics["loss_pct"]
+    return FleetResult(unit=unit, higher_is_better=False, samples=[sample],
+                       virtual_end_us=machine.now, metrics=metrics)
 
 
 def _run_shard(spec) -> FleetResult:
@@ -774,8 +802,8 @@ def _run_shard(spec) -> FleetResult:
 
 
 def _require_defaults(spec, *, nodes_free: bool = False) -> None:
-    """Workloads that fix their own machine shape (``bench:``, ``study:``,
-    ``app``, ``micro``, ``monitor``, ``serve``, ``shard``): the spec's
+    """Workloads that fix their own machine shape (``app``, ``micro``,
+    ``monitor``, ``serve``, ``shard``): the spec's
     platform/fault axes (and unless ``nodes_free`` the node count) must
     stay at their defaults rather than being silently ignored, as
     :meth:`FleetWorkload.check` does for unread params."""
@@ -794,43 +822,7 @@ def _require_defaults(spec, *, nodes_free: bool = False) -> None:
         )
 
 
-def _run_bench(spec) -> FleetResult:
-    """A named bench entry's spec, run at this spec's seed."""
-    from ..bench.core import select
-
-    _require_defaults(spec)
-    (entry,) = select([spec.workload.split(":", 1)[1]])
-    bench_spec = replace(entry.spec, seed=spec.seed)
-    return resolve_workload(bench_spec.workload).run(bench_spec)
-
-
-def _run_study(spec) -> FleetResult:
-    from ..study.__main__ import FAMILIES
-    from ..study.experiment import run_families
-
-    _require_defaults(spec, nodes_free=True)
-    family = spec.workload.split(":", 1)[1]
-    if family not in FAMILIES:
-        raise ValueError(
-            f"unknown study family {family!r}; choose from {sorted(FAMILIES)}"
-        )
-    _description, _in_all, emitter = FAMILIES[family]
-    # One worker: this may already be a fleet pool process.
-    (text,) = run_families(
-        {family: lambda runner: emitter(runner, spec.nodes)}, seed=spec.seed
-    ).values()
-    if isinstance(text, Exception):
-        raise text
-    return FleetResult(
-        unit="report",
-        higher_is_better=False,
-        samples=[],
-        report=text,
-    )
-
-
-#: Directly registered workloads (the ``bench:``/``study:`` prefixes are
-#: resolved dynamically against their own registries).
+#: Every workload, by name.
 WORKLOADS: Dict[str, FleetWorkload] = {
     workload.name: workload
     for workload in (
@@ -851,7 +843,7 @@ WORKLOADS: Dict[str, FleetWorkload] = {
         ),
         FleetWorkload(
             "micro",
-            "section 4.1 microbenchmark: measure=" + "|".join(_MICRO_MEASURES),
+            "section 4.1 microbenchmark: measure=" + "|".join(MICRO_MEASURES),
             _run_micro,
             ("measure",),
         ),
@@ -867,6 +859,12 @@ WORKLOADS: Dict[str, FleetWorkload] = {
             "(nodes-1)-to-1 vmmc sends: nbytes=N, ops=N, reliable=0|1",
             _run_ping,
             ("nbytes", "ops", "reliable"),
+        ),
+        FleetWorkload(
+            "ring",
+            "reliability-study ring transfer: mode=du|au, reliable=0|1",
+            _run_ring,
+            ("mode", "reliable"),
         ),
         FleetWorkload(
             "serve",
@@ -890,20 +888,6 @@ def resolve_workload(name: str) -> FleetWorkload:
     """The workload for a spec's ``workload`` field."""
     if name in WORKLOADS:
         return WORKLOADS[name]
-    if name.startswith("bench:"):
-        return FleetWorkload(
-            name, "curated benchmark (see repro.bench)", _run_bench
-        )
-    if name.startswith("study:"):
-        return FleetWorkload(
-            name, "study family report (see repro.study)", _run_study
-        )
     raise ValueError(
-        f"unknown workload {name!r}; registered: {sorted(WORKLOADS)}, "
-        "plus bench:<benchmark> and study:<family>"
+        f"unknown workload {name!r}; registered: {sorted(WORKLOADS)}"
     )
-
-
-def workload_names() -> List[str]:
-    """Registered workload names plus the dynamic prefixes."""
-    return sorted(WORKLOADS) + ["bench:<name>", "study:<family>"]

@@ -5,7 +5,7 @@ Usage::
     python -m repro.study [FAMILY] [--nodes N]
 
 ``python -m repro.study --help`` lists every family with a one-line
-description.  The selected families' app runs are planned first, then
+description.  The selected families' fleet runs are planned first, then
 run once each on as many processes as this process may use
 (:func:`repro.study.experiment.run_families`).  A family that raises, or
 that reads a run that failed, is reported on stderr, prints nothing,
@@ -31,6 +31,7 @@ from . import (
     fifo_study,
     format_coll_study,
     format_largemesh_study,
+    format_micro_study,
     largemesh_study,
     format_combining_study,
     format_fifo_study,
@@ -47,8 +48,8 @@ from . import (
     queueing_study,
     serving_study,
     reliability_study,
+    micro_study,
     run_families,
-    run_microbenchmarks,
     table1,
     table2,
     table3,
@@ -56,16 +57,10 @@ from . import (
 )
 
 
-def _micro(runner, nodes):
-    micro = run_microbenchmarks()
-    return (
-        "Microbenchmarks (paper: DU 6 us, AU 3.71 us, UDMA < 2 us):\n"
-        f"  DU one-word latency : {micro.du_word_latency_us:6.2f} us\n"
-        f"  AU one-word latency : {micro.au_word_latency_us:6.2f} us\n"
-        f"  DU send overhead    : {micro.du_send_overhead_us:6.2f} us\n"
-        f"  DU bulk bandwidth   : {micro.du_bulk_bandwidth_mbs:6.1f} MB/s\n"
-        f"  AU bulk bandwidth   : {micro.au_bulk_bandwidth_mbs:6.1f} MB/s"
-    )
+def _private(render):
+    """A family that still builds its own machines (``serve``, ``coll``,
+    ``largemesh``): it renders on replay only, so planning builds none."""
+    return lambda runner, nodes: None if runner.planning else render(nodes)
 
 
 #: Every study family: name -> (description, in_all, emit(runner, nodes)).
@@ -76,7 +71,7 @@ FAMILIES = {
     "micro": (
         "latency/bandwidth microbenchmarks vs the paper's numbers",
         True,
-        _micro,
+        lambda runner, nodes: format_micro_study(micro_study(runner)),
     ),
     "table1": (
         "Table 1: communication-layer latencies by API",
@@ -133,27 +128,29 @@ FAMILIES = {
     "reliability": (
         "fault injection: drops/corruption vs go-back-N recovery",
         True,
-        lambda runner, nodes: format_reliability_study(reliability_study(nodes)),
+        lambda runner, nodes: format_reliability_study(
+            reliability_study(runner, nodes)
+        ),
     ),
     "serve": (
         "serving tier: load x balancer x fault SLO sweep (not in `all`)",
         False,
-        lambda runner, nodes: format_serving_study(serving_study()),
+        _private(lambda nodes: format_serving_study(serving_study())),
     ),
     "coll": (
         "collectives: host-side vs NIC-resident barrier/allreduce "
         "(not in `all`)",
         False,
-        lambda runner, nodes: format_coll_study(
+        _private(lambda nodes: format_coll_study(
             coll_study(node_counts=sorted({4, 8, nodes}))
-        ),
+        )),
     ),
     "largemesh": (
         "large-mesh scaling: shard model at 16/64/256 nodes (not in `all`)",
         False,
-        lambda runner, nodes: format_largemesh_study(
+        _private(lambda nodes: format_largemesh_study(
             largemesh_study(node_counts=sorted({16, 64, max(256, nodes)}))
-        ),
+        )),
     ),
 }
 

@@ -1,10 +1,10 @@
-"""The experiment runner: (application, configuration, nodes) -> result.
+"""The experiment runner: every study number is a fleet record's metric.
 
-Every study app run is a fleet ``app`` spec.  :func:`run_families` runs
-each family twice: first against a planning runner that notes the specs
-it asks for, then, once their union has run through
-:func:`repro.fleet.runner.run_specs`, against a runner serving the
-records.  So a family's own loop is the only list of the runs it needs.
+:func:`run_families` runs each family twice: first against a planning
+runner that notes the fleet specs it asks for, then, once their union
+has run through :func:`repro.fleet.runner.run_specs`, against a runner
+serving the records.  So a family's own loop is the only list of the
+runs it needs.
 """
 
 from __future__ import annotations
@@ -22,27 +22,48 @@ from .suite import spec as app_spec
 __all__ = ["ExperimentRunner", "run_families"]
 
 
-class ExperimentRunner:
-    """Reads app results by (application, configuration, nodes).
+class _Placeholder(dict):
+    """A planned record's metrics: every metric reads 1.0."""
 
-    Without ``results`` the runner plans: :meth:`run` notes the spec in
-    :attr:`planned` and returns a placeholder.  With ``results``
-    (fingerprint -> result, or the error text of a failed run) it serves
-    them, and raises on any spec it was not given.
+    def __missing__(self, key: str) -> float:
+        return 1.0
+
+
+class ExperimentRunner:
+    """Reads fleet records' metrics by spec.
+
+    Without ``results`` the runner plans: :meth:`metrics` notes the spec
+    in :attr:`planned` and returns a placeholder.  With ``results``
+    (fingerprint -> record metrics, or the error text of a failed run)
+    it serves them, and raises on any spec it was not given.
     """
 
     def __init__(
         self,
         seed: int = 1998,
-        results: Optional[Dict[str, Union[AppResult, str]]] = None,
+        results: Optional[Dict[str, Union[Dict[str, float], str]]] = None,
     ):
         self.seed = seed
         self.results = results
         #: Specs asked for while planning, by fingerprint.
         self.planned: Dict[str, ExperimentSpec] = {}
-        #: :meth:`run` calls so far: a family that only asks for runs
-        #: another family planned adds no spec but still needs a replay.
-        self.requests = 0
+
+    @property
+    def planning(self) -> bool:
+        """True until the runner serves records."""
+        return self.results is None
+
+    def metrics(self, spec: ExperimentSpec) -> Dict[str, float]:
+        """The metrics of ``spec``'s record."""
+        if self.results is None:
+            self.planned.setdefault(spec.fingerprint, spec)
+            return _Placeholder()
+        if spec.fingerprint not in self.results:
+            raise LookupError(f"{spec.describe()} was not planned")
+        result = self.results[spec.fingerprint]
+        if isinstance(result, str):
+            raise RuntimeError(f"{spec.describe()} failed:\n{result}")
+        return result
 
     def run(
         self,
@@ -53,7 +74,7 @@ class ExperimentRunner:
         protocol: Optional[str] = None,
         combine: bool = False,
     ) -> AppResult:
-        """One run's result.
+        """One app run's result.
 
         ``mode`` defaults to the application's better variant (what
         Figure 3 plots); ``protocol`` overrides the SVM protocol for
@@ -72,28 +93,19 @@ class ExperimentRunner:
         if combine:
             params["combine"] = True
         run_spec = make_spec("app", nodes=nprocs, seed=self.seed, **params)
-        self.requests += 1
-        if self.results is None:
-            self.planned.setdefault(run_spec.fingerprint, run_spec)
-            return app_result(run_spec, {"elapsed_us": 1.0})
-        if run_spec.fingerprint not in self.results:
-            raise LookupError(f"{run_spec.describe()} was not planned")
-        result = self.results[run_spec.fingerprint]
-        if isinstance(result, str):
-            raise RuntimeError(f"{run_spec.describe()} failed:\n{result}")
-        return result
+        return app_result(run_spec, self.metrics(run_spec))
 
     def execute(self, workers: int = 1) -> "ExperimentRunner":
         """Run each planned spec once, into a temporary run store; a
-        runner that serves their results."""
-        results: Dict[str, Union[AppResult, str]] = {}
+        runner that serves their records."""
+        results: Dict[str, Union[Dict[str, float], str]] = {}
         with TemporaryDirectory(prefix="repro-study-") as root:
             store = RunStore(root)
             planned = list(self.planned.values())
             for outcome in run_specs(planned, store, workers=workers):
-                results[outcome.fingerprint] = outcome.error or app_result(
-                    outcome.spec, store.load(outcome.fingerprint)["metrics"]
-                )
+                results[outcome.fingerprint] = outcome.error or store.load(
+                    outcome.fingerprint
+                )["metrics"]
         return ExperimentRunner(self.seed, results)
 
     def slowdown_percent(
@@ -132,20 +144,12 @@ def run_families(
 ) -> Dict[str, object]:
     """Each family's value, or the exception it raised, in input order.
 
-    A family that asks for no app run while planning (``micro``,
-    ``reliability``) is final after that pass; the others replay once
-    the union of their specs has run on ``workers`` processes.
+    Every family is planned, the union of their specs runs once on
+    ``workers`` processes, and every family is replayed against the
+    records.  Planning builds no machine: a family's runs are specs.
     """
     planner = ExperimentRunner(seed)
-    values = {}
-    for name, family in families.items():
-        before = planner.requests
-        value = _value(family, planner)
-        if planner.requests == before:
-            values[name] = value
-    if len(values) < len(families):
-        runner = planner.execute(workers)
-        for name, family in families.items():
-            if name not in values:
-                values[name] = _value(family, runner)
-    return {name: values[name] for name in families}
+    for family in families.values():
+        _value(family, planner)
+    runner = planner.execute(workers)
+    return {name: _value(family, runner) for name, family in families.items()}

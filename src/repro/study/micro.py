@@ -5,68 +5,104 @@
 - User-level DMA send-side initiation overhead: < 2 us.
 - Bulk deliberate-update bandwidth (EISA-DMA limited, ~23 MB/s measured on
   the real machine).
+
+Each is one transfer between two endpoints (:func:`_transfer`).  The
+``micro`` study family reads them from fleet ``micro`` records
+(:func:`micro_study`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
+from ..fleet.catalog import make_spec
+from ..fleet.workloads import MICRO_MEASURES
 from ..hardware import MachineParams
 from ..nic import NICConfig
 from ..node import Machine
 from ..vmmc import VMMCRuntime
 
 __all__ = [
-    "MicroResults",
     "du_word_latency",
     "au_word_latency",
     "du_send_overhead",
     "du_bulk_bandwidth",
     "au_bulk_bandwidth",
-    "run_all",
+    "micro_study",
+    "format_micro_study",
 ]
 
-
-@dataclass
-class MicroResults:
-    du_word_latency_us: float
-    au_word_latency_us: float
-    du_send_overhead_us: float
-    du_bulk_bandwidth_mbs: float
-    au_bulk_bandwidth_mbs: float
+_WORD = b"WORD"
 
 
-def _machine(params: Optional[MachineParams], nic: Optional[NICConfig]) -> Machine:
-    return Machine(num_nodes=4, params=params, nic_config=nic)
+def _transfer(
+    transport: str,
+    payload: bytes,
+    params: Optional[MachineParams],
+    nic: Optional[NICConfig],
+    nodes: int = 4,
+    src: int = 0,
+    dst: int = 1,
+    sync: bool = True,
+    combine: bool = False,
+) -> Dict[str, float]:
+    """Node ``src`` sends ``payload`` into a buffer node ``dst`` exports.
 
-
-def du_word_latency(
-    params: Optional[MachineParams] = None, nic: Optional[NICConfig] = None
-) -> float:
-    """One 4-byte deliberate-update transfer, send start to poll success."""
-    machine = _machine(params, nic)
+    ``transport`` is ``du`` (one deliberate update, ``sync`` or not) or
+    ``au`` (automatic-update stores through a bound page; ``combine``
+    turns combining on and flushes the combined tail).  Returns the
+    virtual-time marks: ``tx`` just before the send, ``sent`` when it
+    returns and ``rx`` when the receiver sees every byte (absent for an
+    asynchronous send, whose receiver does not wait).
+    """
+    machine = Machine(num_nodes=nodes, params=params, nic_config=nic)
     vmmc = VMMCRuntime(machine)
     sim = machine.sim
-    sender_ep = vmmc.endpoint(machine.create_process(0))
-    receiver_ep = vmmc.endpoint(machine.create_process(1))
-    marks = {}
+    sender_ep = vmmc.endpoint(machine.create_process(src))
+    receiver_ep = vmmc.endpoint(machine.create_process(dst))
+    nbytes = len(payload)
+    size = max(nbytes, sender_ep.params.page_size)
+    marks: Dict[str, float] = {}
 
     def receiver():
-        buffer = yield from receiver_ep.export(4096, name="lat.du")
-        yield from receiver_ep.wait_bytes(buffer, 4)
-        marks["rx"] = sim.now
+        buffer = yield from receiver_ep.export(size, name="micro")
+        if sync:
+            yield from receiver_ep.wait_bytes(buffer, nbytes)
+            marks["rx"] = sim.now
 
     def sender():
-        imported = yield from sender_ep.import_buffer("lat.du")
-        src = sender_ep.alloc(4096)
-        sender_ep.poke(src, b"WORD")
-        marks["tx"] = sim.now
-        yield from sender_ep.send(imported, src, 4)
+        imported = yield from sender_ep.import_buffer("micro")
+        local = sender_ep.alloc(size)
+        if transport == "du":
+            sender_ep.poke(local, payload)
+            marks["tx"] = sim.now
+            yield from sender_ep.send(imported, local, nbytes, sync=sync)
+        else:
+            npages = size // sender_ep.params.page_size
+            yield from sender_ep.bind_au(imported, local, npages,
+                                         combine=combine)
+            marks["tx"] = sim.now
+            yield from sender_ep.au_write(local, payload)
+            if combine:
+                yield from sender_ep.au_flush()
+        marks["sent"] = sim.now
 
     sim.spawn(receiver(), "rx")
     sim.spawn(sender(), "tx")
     sim.run()
+    return marks
+
+
+def du_word_latency(
+    params: Optional[MachineParams] = None,
+    nic: Optional[NICConfig] = None,
+    nodes: int = 4,
+    src: int = 0,
+    dst: int = 1,
+) -> float:
+    """One 4-byte deliberate-update transfer from ``src`` to ``dst`` on a
+    ``nodes``-node machine, send start to poll success."""
+    marks = _transfer("du", _WORD, params, nic, nodes, src, dst)
     return marks["rx"] - marks["tx"]
 
 
@@ -74,28 +110,7 @@ def au_word_latency(
     params: Optional[MachineParams] = None, nic: Optional[NICConfig] = None
 ) -> float:
     """One 4-byte automatic-update store, issue to remote poll success."""
-    machine = _machine(params, nic)
-    vmmc = VMMCRuntime(machine)
-    sim = machine.sim
-    sender_ep = vmmc.endpoint(machine.create_process(0))
-    receiver_ep = vmmc.endpoint(machine.create_process(1))
-    marks = {}
-
-    def receiver():
-        buffer = yield from receiver_ep.export(4096, name="lat.au")
-        yield from receiver_ep.wait_bytes(buffer, 4)
-        marks["rx"] = sim.now
-
-    def sender():
-        imported = yield from sender_ep.import_buffer("lat.au")
-        local = sender_ep.alloc(4096)
-        yield from sender_ep.bind_au(imported, local, 1)
-        marks["tx"] = sim.now
-        yield from sender_ep.au_write(local, b"WORD")
-
-    sim.spawn(receiver(), "rx")
-    sim.spawn(sender(), "tx")
-    sim.run()
+    marks = _transfer("au", _WORD, params, nic)
     return marks["rx"] - marks["tx"]
 
 
@@ -103,69 +118,8 @@ def du_send_overhead(
     params: Optional[MachineParams] = None, nic: Optional[NICConfig] = None
 ) -> float:
     """Send-side cost of an asynchronous one-word deliberate update."""
-    machine = _machine(params, nic)
-    vmmc = VMMCRuntime(machine)
-    sim = machine.sim
-    sender_ep = vmmc.endpoint(machine.create_process(0))
-    receiver_ep = vmmc.endpoint(machine.create_process(1))
-    marks = {}
-
-    def receiver():
-        yield from receiver_ep.export(4096, name="ovh.du")
-
-    def sender():
-        imported = yield from sender_ep.import_buffer("ovh.du")
-        src = sender_ep.alloc(4096)
-        sender_ep.poke(src, b"WORD")
-        start = sim.now
-        yield from sender_ep.send(imported, src, 4, sync=False)
-        marks["overhead"] = sim.now - start
-
-    sim.spawn(receiver(), "rx")
-    sim.spawn(sender(), "tx")
-    sim.run()
-    return marks["overhead"]
-
-
-def _bulk_bandwidth(
-    transport: str,
-    nbytes: int,
-    params: Optional[MachineParams],
-    nic: Optional[NICConfig],
-) -> float:
-    machine = _machine(params, nic)
-    vmmc = VMMCRuntime(machine)
-    sim = machine.sim
-    sender_ep = vmmc.endpoint(machine.create_process(0))
-    receiver_ep = vmmc.endpoint(machine.create_process(1))
-    marks = {}
-
-    def receiver():
-        buffer = yield from receiver_ep.export(nbytes, name="bw")
-        yield from receiver_ep.wait_bytes(buffer, nbytes)
-        marks["rx"] = sim.now
-
-    def sender():
-        imported = yield from sender_ep.import_buffer("bw")
-        if transport == "du":
-            src = sender_ep.alloc(nbytes)
-            sender_ep.poke(src, bytes(nbytes))
-            marks["tx"] = sim.now
-            yield from sender_ep.send(imported, src, nbytes)
-        else:
-            local = sender_ep.alloc(nbytes)
-            page_size = sender_ep.params.page_size
-            yield from sender_ep.bind_au(
-                imported, local, nbytes // page_size, combine=True
-            )
-            marks["tx"] = sim.now
-            yield from sender_ep.au_write(local, bytes(nbytes))
-            yield from sender_ep.au_flush()
-
-    sim.spawn(receiver(), "rx")
-    sim.spawn(sender(), "tx")
-    sim.run()
-    return nbytes / (marks["rx"] - marks["tx"])
+    marks = _transfer("du", _WORD, params, nic, sync=False)
+    return marks["sent"] - marks["tx"]
 
 
 def du_bulk_bandwidth(
@@ -174,7 +128,8 @@ def du_bulk_bandwidth(
     nic: Optional[NICConfig] = None,
 ) -> float:
     """Large-transfer deliberate-update bandwidth (MB/s)."""
-    return _bulk_bandwidth("du", nbytes, params, nic)
+    marks = _transfer("du", bytes(nbytes), params, nic)
+    return nbytes / (marks["rx"] - marks["tx"])
 
 
 def au_bulk_bandwidth(
@@ -183,14 +138,24 @@ def au_bulk_bandwidth(
     nic: Optional[NICConfig] = None,
 ) -> float:
     """Large-transfer automatic-update bandwidth with combining (MB/s)."""
-    return _bulk_bandwidth("au", nbytes, params, nic)
+    marks = _transfer("au", bytes(nbytes), params, nic, combine=True)
+    return nbytes / (marks["rx"] - marks["tx"])
 
 
-def run_all() -> MicroResults:
-    return MicroResults(
-        du_word_latency_us=du_word_latency(),
-        au_word_latency_us=au_word_latency(),
-        du_send_overhead_us=du_send_overhead(),
-        du_bulk_bandwidth_mbs=du_bulk_bandwidth(),
-        au_bulk_bandwidth_mbs=au_bulk_bandwidth(),
+def micro_study(runner) -> Dict[str, float]:
+    """Each measure's value, read from its fleet ``micro`` record."""
+    return {
+        measure: runner.metrics(make_spec("micro", measure=measure))[measure]
+        for measure in MICRO_MEASURES
+    }
+
+
+def format_micro_study(values: Dict[str, float]) -> str:
+    return (
+        "Microbenchmarks (paper: DU 6 us, AU 3.71 us, UDMA < 2 us):\n"
+        f"  DU one-word latency : {values['du_word_latency']:6.2f} us\n"
+        f"  AU one-word latency : {values['au_word_latency']:6.2f} us\n"
+        f"  DU send overhead    : {values['du_send_overhead']:6.2f} us\n"
+        f"  DU bulk bandwidth   : {values['du_bulk_bandwidth']:6.1f} MB/s\n"
+        f"  AU bulk bandwidth   : {values['au_bulk_bandwidth']:6.1f} MB/s"
     )

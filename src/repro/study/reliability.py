@@ -14,49 +14,60 @@ reliability.  This experiment family installs a deterministic
   of bytes that simply never arrive — the reason AU's elegance is chained
   to a reliable fabric.
 
-The workload is an all-nodes ring transfer: node *i* sends ``nbytes`` into
-a buffer exported by node *(i+1) mod N*, the communication pattern of the
-paper's microbenchmarks scaled to the full machine.
+The workload is an all-nodes ring transfer (the fleet ``ring`` workload):
+node *i* sends :data:`RING_BYTES` into a buffer exported by node
+*(i+1) mod N*, the communication pattern of the paper's microbenchmarks
+scaled to the full machine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from ..faults import FaultConfig
-from ..node import Machine
-from ..vmmc import ReliableConfig, VMMCRuntime
+from ..fleet.catalog import make_spec
+from ..fleet.workloads import FAULT_PLANS
 from .report import format_table
 
 __all__ = [
-    "DEFAULT_DROP_RATES",
+    "DROP_PLANS",
     "du_reliability_run",
     "au_loss_run",
     "reliability_study",
     "format_reliability_study",
 ]
 
-DEFAULT_DROP_RATES = (0.0, 0.01, 0.02, 0.05)
+#: The fault plans the study sweeps, one table row each.
+DROP_PLANS = ("none", "drop1", "drop2", "drop5")
+
+#: Bytes each node sends round the ring (AU rings carry half).
+RING_BYTES = 32 * 1024
 
 
-def _ring_machine(
-    nprocs: int, drop_rate: float, seed: int
-) -> tuple:
-    fault_config = FaultConfig(drop_rate=drop_rate) if drop_rate else None
-    machine = Machine(num_nodes=nprocs, seed=seed, fault_config=fault_config)
+def _run_ring(machine, worker, name: str) -> float:
+    """Run ``worker(i, endpoint, next_buffer_name)`` on every node to
+    completion; returns the bytes that reached the ``{name}.{i}`` exports."""
+    from ..vmmc import VMMCRuntime
+
     vmmc = VMMCRuntime(machine)
-    endpoints = [vmmc.endpoint(machine.create_process(i)) for i in range(nprocs)]
-    return machine, vmmc, endpoints
+    nprocs = machine.num_nodes
+    endpoints = [vmmc.endpoint(machine.create_process(i))
+                 for i in range(nprocs)]
+    workers = [
+        machine.sim.spawn(worker(i, ep, f"{name}.{(i + 1) % nprocs}"),
+                          f"{name}.w{i}")
+        for i, ep in enumerate(endpoints)
+    ]
+    machine.sim.run()
+    stuck = [p.name for p in workers if not p.done]
+    if stuck:
+        raise RuntimeError(f"ring deadlocked: {stuck}")
+    return float(sum(
+        machine.registries["vmmc.exports"][f"{name}.{i}"].bytes_received
+        for i in range(nprocs)
+    ))
 
 
-def du_reliability_run(
-    nprocs: int = 16,
-    nbytes: int = 32 * 1024,
-    drop_rate: float = 0.0,
-    reliable: bool = True,
-    seed: int = 1998,
-    reliable_config: Optional[ReliableConfig] = None,
-) -> Dict[str, float]:
+def du_reliability_run(machine, reliable: bool = True) -> Dict[str, float]:
     """One ring transfer over deliberate update; returns timing and stats.
 
     With ``reliable=False`` and a nonzero drop rate the transfer may lose
@@ -64,43 +75,30 @@ def du_reliability_run(
     ``reliable=True`` every byte is delivered or the run raises
     :class:`~repro.vmmc.errors.DeliveryFailed`.
     """
-    machine, _vmmc, endpoints = _ring_machine(nprocs, drop_rate, seed)
-    sim = machine.sim
-    payload = bytes(range(256)) * (-(-nbytes // 256))
-    payload = payload[:nbytes]
-    marks: Dict[str, float] = {}
-    started = [0]
+    nprocs, nbytes = machine.num_nodes, RING_BYTES
+    payload = (bytes(range(256)) * (-(-nbytes // 256)))[:nbytes]
+    started: List[float] = []
     retx = [0]
 
-    def worker(i: int):
-        ep = endpoints[i]
+    def worker(i: int, ep, next_name: str):
         buffer = yield from ep.export(nbytes, name=f"ring.{i}")
-        imported = yield from ep.import_buffer(f"ring.{(i + 1) % nprocs}")
+        imported = yield from ep.import_buffer(next_name)
         src = ep.alloc(nbytes)
         ep.poke(src, payload)
-        started[0] += 1
-        if started[0] == nprocs:
-            marks["t0"] = sim.now
+        started.append(machine.sim.now)
         if reliable:
-            channel = ep.open_reliable(imported, reliable_config)
+            channel = ep.open_reliable(imported)
             yield from channel.send(src, nbytes)
             retx[0] += channel.retransmissions
             yield from ep.wait_bytes(buffer, nbytes)
         else:
             yield from ep.send(imported, src, nbytes, sync_delivered=True)
 
-    workers = [sim.spawn(worker(i), f"ring.w{i}") for i in range(nprocs)]
-    sim.run()
-    stuck = [p.name for p in workers if not p.done]
-    if stuck:
-        raise RuntimeError(f"reliability ring deadlocked: {stuck}")
+    delivered = _run_ring(machine, worker, "ring")
     stats = machine.stats
-    delivered = sum(
-        machine.registries["vmmc.exports"][f"ring.{i}"].bytes_received
-        for i in range(nprocs)
-    )
     return {
-        "elapsed_us": sim.now - marks["t0"],
+        # From the moment the last node is ready to send.
+        "elapsed_us": machine.sim.now - started[-1],
         "retransmissions": retx[0],
         "retx_rounds": stats.counter_value("vmmc.retx.rounds"),
         "acks": stats.counter_value("vmmc.acks_sent"),
@@ -108,16 +106,11 @@ def du_reliability_run(
         "duplicates": stats.counter_value("vmmc.rx_duplicates"),
         "gaps": stats.counter_value("vmmc.rx_gaps"),
         "bytes_expected": float(nprocs * nbytes),
-        "bytes_delivered": float(delivered),
+        "bytes_delivered": delivered,
     }
 
 
-def au_loss_run(
-    nprocs: int = 16,
-    nbytes: int = 16 * 1024,
-    drop_rate: float = 0.0,
-    seed: int = 1998,
-) -> Dict[str, float]:
+def au_loss_run(machine) -> Dict[str, float]:
     """One ring transfer over automatic update; returns the loss fraction.
 
     Automatic update has no retransmission path — the NIC propagates
@@ -125,60 +118,51 @@ def au_loss_run(
     ends up with fewer bytes.  Receivers do not wait (that would deadlock);
     the run quiesces and the deficit is measured.
     """
-    machine, _vmmc, endpoints = _ring_machine(nprocs, drop_rate, seed)
-    sim = machine.sim
+    nbytes = RING_BYTES // 2
     page_size = machine.params.page_size
     npages = -(-nbytes // page_size)
-    payload = bytes(range(256)) * (-(-nbytes // 256))
-    payload = payload[:nbytes]
+    payload = (bytes(range(256)) * (-(-nbytes // 256)))[:nbytes]
 
-    def worker(i: int):
-        ep = endpoints[i]
+    def worker(i: int, ep, next_name: str):
         yield from ep.export(npages * page_size, name=f"au.{i}")
-        imported = yield from ep.import_buffer(f"au.{(i + 1) % nprocs}")
+        imported = yield from ep.import_buffer(next_name)
         local = ep.alloc(npages * page_size)
         yield from ep.bind_au(imported, local, npages, combine=True)
         yield from ep.au_write(local, payload)
         yield from ep.au_drain()
 
-    workers = [sim.spawn(worker(i), f"au.w{i}") for i in range(nprocs)]
-    sim.run()
-    stuck = [p.name for p in workers if not p.done]
-    if stuck:
-        raise RuntimeError(f"AU loss ring deadlocked: {stuck}")
-    delivered = sum(
-        machine.registries["vmmc.exports"][f"au.{i}"].bytes_received
-        for i in range(nprocs)
-    )
-    expected = float(nprocs * nbytes)
+    delivered = _run_ring(machine, worker, "au")
+    expected = float(machine.num_nodes * nbytes)
     return {
         "bytes_expected": expected,
-        "bytes_delivered": float(delivered),
+        "bytes_delivered": delivered,
         "loss_pct": 100.0 * (1.0 - delivered / expected),
         "drops": machine.stats.counter_value("fault.drops"),
     }
 
 
-def reliability_study(
-    nprocs: int = 16,
-    nbytes: int = 32 * 1024,
-    drop_rates: Sequence[float] = DEFAULT_DROP_RATES,
-    seed: int = 1998,
-) -> List[dict]:
-    """Reliable-DU overhead and raw-AU loss across packet-drop rates.
+def reliability_study(runner, nodes: int = 16) -> List[dict]:
+    """Reliable-DU overhead and raw-AU loss across packet-drop rates, read
+    from fleet ``ring`` records on ``nodes`` nodes.
 
     The overhead column is relative to the unreliable deliberate-update
     ring on a perfect fabric — i.e. it folds together the ack/seq protocol
     cost (visible at drop rate 0) and the retransmission cost (growing
     with the drop rate).
     """
-    baseline = du_reliability_run(
-        nprocs, nbytes, drop_rate=0.0, reliable=False, seed=seed
-    )
+
+    def ring(fault_plan: str = "none", **params) -> Dict[str, float]:
+        return runner.metrics(make_spec(
+            "ring", nodes=nodes, fault_plan=fault_plan, seed=runner.seed,
+            **params,
+        ))
+
+    baseline = ring(mode="du", reliable=False)
     rows = []
-    for rate in drop_rates:
-        du = du_reliability_run(nprocs, nbytes, rate, reliable=True, seed=seed)
-        au = au_loss_run(nprocs, nbytes // 2, rate, seed=seed)
+    for plan in DROP_PLANS:
+        du = ring(plan, mode="du", reliable=True)
+        au = ring(plan, mode="au")
+        rate = (FAULT_PLANS[plan] or {}).get("drop_rate", 0.0)
         rows.append(
             {
                 "drop_pct": 100.0 * rate,

@@ -127,33 +127,13 @@ def mesh_scale_sweep(
     Wormhole routing makes distance cheap: latency should rise by well
     under a microsecond across the whole 4x4 backplane.
     """
-    from .. import Machine, VMMCRuntime
+    from ..network import MeshTopology
 
+    topology = MeshTopology(DEFAULT_PARAMS.mesh_width, DEFAULT_PARAMS.mesh_height)
     points = []
     for src, dst in hop_pairs:
-        machine = Machine(num_nodes=16)
-        vmmc = VMMCRuntime(machine)
-        sim = machine.sim
-        tx = vmmc.endpoint(machine.create_process(src))
-        rx = vmmc.endpoint(machine.create_process(dst))
-        marks = {}
-
-        def receiver():
-            buffer = yield from rx.export(4096, name="hop")
-            yield from rx.wait_bytes(buffer, 4)
-            marks["rx"] = sim.now
-
-        def sender():
-            imported = yield from tx.import_buffer("hop")
-            srcbuf = tx.alloc(4096)
-            marks["tx"] = sim.now
-            yield from tx.send(imported, srcbuf, 4)
-
-        sim.spawn(receiver(), "r")
-        sim.spawn(sender(), "s")
-        sim.run()
-        hops = machine.backplane.topology.hop_count(src, dst)
-        latency = marks["rx"] - marks["tx"]
+        hops = topology.hop_count(src, dst)
+        latency = du_word_latency(nodes=16, src=src, dst=dst)
         points.append(
             SweepPoint(hops, latency, f"{latency:.2f}us across {hops} hops")
         )

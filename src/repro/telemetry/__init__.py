@@ -38,7 +38,7 @@ from .critpath import (
 )
 from .events import TelemetryEvent
 from .export import to_chrome_trace, to_jsonl, write_chrome_trace, write_jsonl
-from .metrics import Gauge, Histogram, TailHistogram, Timeline
+from .metrics import Histogram, TailHistogram, Timeline
 from .report import latency_breakdown, summarize, utilization_report
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "TelemetryEvent",
     "Histogram",
     "TailHistogram",
-    "Gauge",
     "Timeline",
     "to_chrome_trace",
     "write_chrome_trace",

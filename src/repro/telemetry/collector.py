@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .events import PHASE_BEGIN, PHASE_END, PHASE_INSTANT, TelemetryEvent
-from .metrics import Gauge, Histogram, Timeline
+from .metrics import Histogram, Timeline
 
 __all__ = ["Telemetry", "Span"]
 
@@ -61,7 +61,7 @@ class Span:
 
 
 class Telemetry:
-    """Collects spans, instants, histograms, gauges and timelines."""
+    """Collects spans, instants, histograms and timelines."""
 
     def __init__(
         self,
@@ -82,7 +82,6 @@ class Telemetry:
         self._sinks: List[Sink] = []
         self._current_process = current_process
         self.histograms: Dict[str, Histogram] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.timelines: Dict[str, Timeline] = {}
 
     # -- wiring ------------------------------------------------------------
@@ -201,11 +200,6 @@ class Telemetry:
         if name not in self.histograms:
             self.histograms[name] = Histogram(name)
         return self.histograms[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(name)
-        return self.gauges[name]
 
     def timeline(self, name: str, node: int = 0) -> Timeline:
         if name not in self.timelines:

@@ -1,4 +1,4 @@
-"""Telemetry metrics: histograms, gauges, and virtual-time timelines.
+"""Telemetry metrics: histograms and virtual-time timelines.
 
 These complement the flat :class:`~repro.sim.stats.StatsRegistry` counters:
 a :class:`Histogram` answers "what was the p95 of this latency?", a
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-__all__ = ["Histogram", "TailHistogram", "Gauge", "Timeline"]
+__all__ = ["Histogram", "TailHistogram", "Timeline"]
 
 
 class Histogram:
@@ -202,42 +202,6 @@ class TailHistogram:
             f"TailHistogram({self.name}: n={self._count}, "
             f"mean={self.mean:.3f}, p999={self.p999:.3f})"
         )
-
-
-class Gauge:
-    """A last-value metric that remembers its extremes.
-
-    By default only the scalar summary (value, min, max, update count) is
-    kept — O(1) regardless of update rate.  ``history=N`` additionally
-    retains the last ``N`` set values in a bounded deque, for callers
-    that want a recent-window view without unbounded growth.
-    """
-
-    __slots__ = ("name", "value", "min", "max", "updates", "history")
-
-    def __init__(self, name: str, history: int = 0):
-        self.name = name
-        self.value = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.updates = 0
-        if history > 0:
-            from collections import deque
-
-            self.history: Optional[deque] = deque(maxlen=history)
-        else:
-            self.history = None
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.updates += 1
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if self.history is not None:
-            self.history.append(value)
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
 
 
 class Timeline:

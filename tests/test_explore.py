@@ -26,7 +26,7 @@ from repro.fleet import RunStore, make_spec, run_specs
 SPEC_NX = make_spec("coll", nodes=4, mode="nx", ops=4)
 SPEC_NIC = make_spec("coll", nodes=4, mode="tree-nic", ops=4)
 SPEC_NIC8 = make_spec("coll", nodes=8, mode="tree-nic", ops=4)
-SPEC_STUDY = make_spec("study:micro", nodes=4)
+SPEC_REPORT = make_spec("monitor", scenario="outage")
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def store(tmp_path_factory):
     root = tmp_path_factory.mktemp("explore") / "runs"
     store = RunStore(str(root))
     outcomes = run_specs(
-        [SPEC_NX, SPEC_NIC, SPEC_NIC8, SPEC_STUDY], store
+        [SPEC_NX, SPEC_NIC, SPEC_NIC8, SPEC_REPORT], store
     )
     assert all(o.status == "ran" for o in outcomes)
     return store
@@ -87,7 +87,7 @@ def test_resolver_errors(store):
 
 def test_list_table_shows_every_record(store):
     text = list_table(store)
-    for spec in (SPEC_NX, SPEC_NIC, SPEC_NIC8, SPEC_STUDY):
+    for spec in (SPEC_NX, SPEC_NIC, SPEC_NIC8, SPEC_REPORT):
         assert spec.fingerprint in text
     assert "INVALID" not in text
     assert "4 records" in text
@@ -119,7 +119,7 @@ def test_show_record_renders_spec_stats_and_attribution(store):
 
 
 def test_show_report_only_record(store):
-    text = show_record(store, SPEC_STUDY.fingerprint)
+    text = show_record(store, SPEC_REPORT.fingerprint)
     assert "no samples (report-only record; see drill)" in text
 
 
@@ -162,7 +162,7 @@ def test_attr_diff_recovers_cpu_share_collapse(store):
 
 def test_attr_diff_rejects_report_only_records(store):
     with pytest.raises(ValueError, match="no attribution|no samples"):
-        attr_diff(store, SPEC_STUDY.fingerprint, SPEC_NX.fingerprint)
+        attr_diff(store, SPEC_REPORT.fingerprint, SPEC_NX.fingerprint)
 
 
 # -- trend / drill -------------------------------------------------------
@@ -186,8 +186,8 @@ def test_drill_resolves_artifacts(store):
     text = drill(store, SPEC_NX.fingerprint)
     assert "trace.json" in text
     assert "chrome://tracing" in text
-    report = drill(store, SPEC_STUDY.fingerprint)
-    assert "report.txt" in report and "latency" in report
+    report = drill(store, SPEC_REPORT.fingerprint)
+    assert "report.txt" in report and "DeliveryFailed" in report
     with pytest.raises(ValueError, match="not a stored run"):
         drill(store, "benchmarks/baseline/BENCH_seed.json#du_ping_word")
 

@@ -37,7 +37,7 @@ from repro.fleet import (
     run_specs,
 )
 from repro.fleet.runner import build_record, execute_spec
-from repro.fleet.workloads import resolve_workload, workload_names
+from repro.fleet.workloads import WORKLOADS, resolve_workload
 
 # Small, fast specs reused across the module: the published comparison
 # (host dissemination vs NIC-resident tree) shrunk to 4 nodes / 4 ops.
@@ -139,8 +139,7 @@ def test_catalog_dedups_by_fingerprint_and_bad_names_rejected():
 def test_builtin_matrices_and_workload_registry_expand():
     for name in BUILTIN_MATRICES:
         assert len(load_catalog(name)) > 0
-    names = workload_names()
-    assert "coll" in names and "ping" in names and "serve" in names
+    assert {"coll", "ping", "ring", "serve"} <= set(WORKLOADS)
     with pytest.raises(ValueError):
         resolve_workload("no-such-workload")
 
@@ -215,12 +214,11 @@ UNREAD_PARAMS = [
     ({"workload": "ping", "nodes": 2, "params": {"nbyte": 512}}, "'nbyte'"),
     ({"workload": "shard", "nodes": 64, "params": {"workers": 2}},
      "'workers'"),
-    ({"workload": "study:micro", "params": {"nodes": 4}}, "'nodes'"),
 ]
 
 
 @pytest.mark.parametrize("doc, param", UNREAD_PARAMS,
-                         ids=["ping-nbyte", "shard-workers", "study-nodes"])
+                         ids=["ping-nbyte", "shard-workers"])
 def test_unread_spec_param_is_rejected(tmp_path, capsys, doc, param):
     from repro.fleet.__main__ import main as fleet_main
 
@@ -280,16 +278,6 @@ def test_record_schema_and_sidecars(tmp_path):
     # No wall-clock anywhere: records must be pure functions of the spec.
     blob = json.dumps(record)
     assert "wall" not in blob and "timestamp" not in blob
-
-
-def test_study_workload_produces_report_sidecar(tmp_path):
-    store = RunStore(str(tmp_path / "runs"))
-    spec = make_spec("study:micro", nodes=4)
-    execute_spec(spec, store)
-    record = store.load(spec.fingerprint)
-    assert "bench" not in record  # report-only family: no samples
-    report = store.artifact_path(record, "report")
-    assert report and "latency" in open(report, encoding="utf-8").read()
 
 
 # -- resumability and determinism ----------------------------------------
@@ -532,6 +520,19 @@ def test_record_from_edited_sources_is_stale(tmp_path):
     assert store.status(spec) == "invalid"  # now from the edited tree
 
 
+def test_import_repro_does_not_load_multiprocessing():
+    """Only the fleet's process pool needs ``multiprocessing``; a plain
+    simulation must not pay for importing it."""
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    script = "import sys, repro; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=package_root)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
 # -- the workload registry -----------------------------------------------
 
 
@@ -543,25 +544,6 @@ def test_serve_workload_runs_through_execute_spec(tmp_path):
     assert record["metrics"]["ok"] > 0
     assert record["bench"]["samples"]
     assert store.artifact_path(record, "report")
-
-
-def test_bench_prefix_runs_the_entry_spec():
-    from repro.bench import REGISTRY
-
-    via_prefix = resolve_workload("bench:du_ping_word").run(
-        make_spec("bench:du_ping_word", seed=7)
-    )
-    entry_spec = REGISTRY["du_ping_word"].spec
-    direct = resolve_workload(entry_spec.workload).run(
-        make_spec("ping", seed=7, nodes=entry_spec.nodes,
-                  **dict(entry_spec.params))
-    )
-    assert via_prefix.samples == direct.samples
-    assert via_prefix.attribution == direct.attribution
-    with pytest.raises(ValueError, match="fixes its own machine"):
-        resolve_workload("bench:du_ping_word").run(
-            make_spec("bench:du_ping_word", nodes=4)
-        )
 
 
 def test_coll_workload_selects_program_by_api():

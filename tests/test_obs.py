@@ -2,8 +2,7 @@
 
 Covers the ring-buffer decimation contract, the Prometheus-style scrape
 format, the host-time sampling profiler's component attribution, the
-HTML evidence renderer, the JSONL sample stream and the bounded
-Timeline/Gauge retention satellites.  Determinism of obs-on runs is
+HTML evidence renderer and the JSONL sample stream.  Determinism of obs-on runs is
 gated separately in ``tests/test_determinism.py``.
 """
 
@@ -333,16 +332,3 @@ def test_fleet_progress_events(tmp_path):
     run_specs(specs, store, progress=events.append)
     assert [e[2] for e in events] == ["cached", "cached"]
 
-
-# -- bounded telemetry retention ----------------------------------------
-
-
-def test_gauge_history_is_bounded():
-    from repro.telemetry.metrics import Gauge
-
-    gauge = Gauge("g", history=8)
-    for i in range(100):
-        gauge.set(float(i))
-    assert list(gauge.history) == [float(i) for i in range(92, 100)]
-    assert gauge.max == 99.0
-    assert Gauge("plain").history is None

@@ -204,14 +204,27 @@ def test_lossy_reliable_runs_are_deterministic():
 
 
 def test_sixteen_node_ring_acceptance():
-    """ISSUE acceptance: >= 1% drops on a 16-node deliberate-update ring
-    completes every transfer in reliable mode, with retransmissions."""
-    from repro.study.reliability import du_reliability_run
+    """At 1% drops a 16-node deliberate-update ring completes every
+    transfer in reliable mode, with retransmissions."""
+    from repro.fleet import make_spec, resolve_workload
 
-    result = du_reliability_run(nprocs=16, nbytes=32 * 1024, drop_rate=0.01)
+    result = resolve_workload("ring").run(
+        make_spec("ring", nodes=16, fault_plan="drop1", reliable=1)
+    ).metrics
     assert result["bytes_delivered"] == result["bytes_expected"]
     assert result["retransmissions"] > 0
     assert result["drops"] > 0
+
+
+@pytest.mark.parametrize("params, match", [
+    ({"mode": "cu"}, "unknown ring mode"),
+    ({"mode": "au", "reliable": 1}, "no reliable mode"),
+])
+def test_ring_spec_rejects_unknown_mode(params, match):
+    from repro.fleet import make_spec, resolve_workload
+
+    with pytest.raises(ValueError, match=match):
+        resolve_workload("ring").run(make_spec("ring", nodes=4, **params))
 
 
 def test_async_send_and_drain():

@@ -69,13 +69,12 @@ def test_runner_caches_identical_runs():
     planner.run("Radix-VMMC", 2)
     planner.run("Radix-VMMC", 2, mode="au")  # its best mode: the same run
     planner.run("Radix-VMMC", 2, "kernel_send")
-    assert planner.requests == 3 and len(planner.planned) == 2
+    assert len(planner.planned) == 2
     runner = planner.execute()
     first = runner.run("Radix-VMMC", 2)
-    second = runner.run("Radix-VMMC", 2)
-    assert first is second
+    assert runner.run("Radix-VMMC", 2, mode="au") == first
     third = runner.run("Radix-VMMC", 2, "kernel_send")
-    assert third is not first
+    assert third.elapsed_us != first.elapsed_us
 
 
 def test_runner_mode_and_protocol_selection():
@@ -165,6 +164,58 @@ def test_families_render_identically_at_one_and_two_workers():
     serial = run_families(families, workers=1)
     assert all(isinstance(text, str) for text in serial.values())
     assert run_families(families, workers=2) == serial
+
+
+def _all_families():
+    from repro.study.__main__ import FAMILIES
+
+    return {
+        name: (lambda runner, emitter=emitter: emitter(runner, 16))
+        for name, (_description, in_all, emitter) in FAMILIES.items()
+        if in_all
+    }
+
+
+def test_planning_every_all_family_builds_no_machine(monkeypatch):
+    """Every ``all`` number is a fleet spec: the plan pass only notes
+    specs, and the machines are built when the union runs."""
+    from repro.node import Machine
+
+    built = []
+    init = Machine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    class Planned(Exception):
+        pass
+
+    def stop(planner, workers=1):
+        raise Planned(len(built), len(planner.planned))
+
+    monkeypatch.setattr(Machine, "__init__", counting_init)
+    monkeypatch.setattr(ExperimentRunner, "execute", stop)
+    with pytest.raises(Planned) as info:
+        run_families(_all_families())
+    assert info.value.args == (0, 104)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_micro_and_reliability_match_committed_study(workers):
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                        "baseline", "STUDY_all.txt")
+    with open(path, encoding="utf-8") as fh:
+        committed = fh.read()
+    families = _all_families()
+    values = run_families(
+        {name: families[name] for name in ("micro", "reliability")},
+        workers=workers,
+    )
+    assert committed.startswith(values["micro"] + "\n\n")
+    assert committed.endswith("\n\n" + values["reliability"] + "\n")
 
 
 def test_combine_param_changes_radix_vmmc_and_default_does_not():
