@@ -85,6 +85,10 @@ class ExperimentSpec:
                     f"spec field {name!r} must be a JSON {kind.__name__}, "
                     f"got {value!r}"
                 )
+        if self.nodes < 1:
+            raise ValueError(
+                f"spec field 'nodes' must be >= 1, got {self.nodes}"
+            )
         for key, value in self.params:
             if not isinstance(key, str) or not isinstance(value, _SCALARS):
                 raise ValueError(

@@ -5,10 +5,10 @@ Every workload maps an :class:`ExperimentSpec` to a :class:`FleetResult`
 experiment surfaces select from this registry instead of copying it:
 ``repro.bench`` suites are named specs run through
 :func:`resolve_workload`, ``repro.obs profile`` runs catalog specs through
-it, and ``repro.obs scrape`` and ``repro.study coll`` call the same
-programs (:func:`spawn_stream`, :func:`spawn_nx_coll`) on machines they
-build, and tests and examples drive :func:`spawn_fan_in` and
-:func:`spawn_outage` the same way.
+it, ``repro.study`` reads its records' ``metrics``, ``repro.obs
+scrape`` calls :func:`spawn_stream` on a machine it builds, and tests
+and examples drive :func:`spawn_fan_in` and :func:`spawn_outage` the
+same way.
 
 * ``app`` — a study-suite application (``app=NAME``, ``mode=au|du``,
   what-if ``config=NAME``, SVM ``protocol=...``, ``combine=1``); one
@@ -17,8 +17,10 @@ build, and tests and examples drive :func:`spawn_fan_in` and
   runs on a plain machine, as the study tables do.
 * ``coll`` — ``ops`` collectives on ``spec.nodes`` ranks: ``api=nx``
   (default) runs NX barriers after a warm-up one, ``mode`` placing the
-  barrier; ``api=coll`` drives :class:`repro.coll.CollWorld` directly
-  with ``op=barrier|allreduce|bcast`` and no warm-up.
+  barrier, then ``allreduces`` sum-allreduces (their mean latency, the
+  barrier's and its attribution shares land in ``metrics``);
+  ``api=coll`` drives :class:`repro.coll.CollWorld` directly with
+  ``op=barrier|allreduce|bcast`` and no warm-up.
 * ``micro`` — a section 4.1 microbenchmark (``measure=...``); one
   sample, also the ``metrics`` entry named by the measure.
 * ``monitor`` — a fault scenario with the health monitor armed
@@ -30,8 +32,10 @@ build, and tests and examples drive :func:`spawn_fan_in` and
   (``mode=du|au``, ``reliable=1``: DU over go-back-N) on the spec's
   fault plan; one sample (DU elapsed time, or the AU bytes lost in %),
   with the run's counters in ``metrics``.
-* ``serve`` — a :class:`repro.serve.ServeCluster` run; samples are
-  ``serve.request`` spans, or with ``measure=goodput`` the goodput.
+* ``serve`` — a :class:`repro.serve.ServeCluster` run, optionally under
+  a ``chaos`` scenario; samples are ``serve.request`` spans, or with
+  ``measure=goodput`` the goodput, and the SLO report's figures land in
+  ``metrics``.  ``observe=0`` runs without telemetry: no span samples.
 * ``shard`` — the large-mesh packet model (:mod:`repro.shard`); samples
   are per-delivery latencies.
 
@@ -59,6 +63,8 @@ __all__ = [
     "spawn_fan_in",
     "spawn_outage",
     "OUTAGE_AT_US",
+    "SERVE_CHAOS_AT_US",
+    "SERVE_CHAOS_DURATION_US",
     "spawn_nx_coll",
     "spawn_coll_ops",
     "resolve_workload",
@@ -93,18 +99,26 @@ class FleetResult:
 
 @dataclass(frozen=True)
 class FleetWorkload:
-    """A registered workload: a description, the spec -> result program
-    and the names of the spec params that program reads."""
+    """A registered workload: a description, the spec -> result program,
+    the names of the spec params that program reads and the fewest
+    nodes it runs on."""
 
     name: str
     description: str
     program: Callable[["ExperimentSpec"], FleetResult]
     params: Tuple[str, ...] = ()
+    min_nodes: int = 1
 
     def check(self, spec) -> None:
         """Reject a spec carrying a param this workload does not read, so
         a misspelt knob cannot run the defaults under its own
-        fingerprint."""
+        fingerprint, and a spec whose machine would not have
+        ``spec.nodes`` nodes."""
+        if spec.nodes < self.min_nodes:
+            raise ValueError(
+                f"workload {self.name!r} needs nodes >= {self.min_nodes}, "
+                f"got {spec.nodes}"
+            )
         for key, _value in spec.params:
             if key not in self.params:
                 accepted = ", ".join(self.params) or "none"
@@ -353,6 +367,13 @@ def spawn_outage(machine) -> None:
     machine.sim.spawn(tx(), "outage.tx")
 
 
+#: The window of a ``serve`` spec's ``chaos`` fault: 4 ms dark starting
+#: 2 ms into the traffic window — long enough to force several go-back-N
+#: backoff rounds, short enough for the default retry budget to ride it out.
+SERVE_CHAOS_AT_US = 2_000.0
+SERVE_CHAOS_DURATION_US = 4_000.0
+
+
 def spawn_nx_coll(
     machine, nodes: int, mode: str, ops: int, allreduces: int = 0
 ) -> Dict[str, float]:
@@ -429,14 +450,14 @@ def spawn_coll_ops(
 # -- workloads: spec -> machine -> program -> result ------------------------
 
 
-def _span_result(machine, span_name: str, metrics=None) -> FleetResult:
-    """Latency samples and attribution of ``span_name`` ops in a run."""
+def _span_result(machine, agg, metrics=None) -> FleetResult:
+    """Latency samples and attribution ``agg`` of the ``agg.name`` ops in
+    a run."""
     telemetry = machine.telemetry
-    agg = critpath.aggregate(telemetry, span_name, top=0)
     return FleetResult(
         unit="us",
         higher_is_better=False,
-        samples=_span_samples(telemetry, span_name),
+        samples=_span_samples(telemetry, agg.name),
         attribution=agg.components,
         ops=agg.count,
         telemetry=telemetry,
@@ -451,43 +472,55 @@ def _run_coll(spec) -> FleetResult:
     mode = spec.param("mode", "tree-nic")
     op = spec.param("op", "barrier")
     ops = int(spec.param("ops", 8))
+    allreduces = int(spec.param("allreduces", 0))
     backend = COLL_MODES.get(mode, (None,))[0]
     if not ((api == "nx" and op == "barrier") or (api == "coll" and backend)):
         raise ValueError(
             f"unsupported coll api={api!r} mode={mode!r} op={op!r}: api=nx "
             "runs barriers, api=coll needs mode=tree-host|tree-nic"
         )
+    if api == "coll" and spec.param("allreduces") is not None:
+        raise ValueError("allreduces follow NX barriers: it needs api=nx")
     machine = _machine(spec, spec.nodes)
     if api == "nx":
-        spawn_nx_coll(machine, spec.nodes, mode, ops)
+        marks = spawn_nx_coll(machine, spec.nodes, mode, ops, allreduces)
         span_name = COLL_MODES[mode][1]
     else:
         spawn_coll_ops(machine, spec.nodes, backend, op, ops)
         span_name = f"coll.{op}"
     machine.sim.run()
-    return _span_result(
-        machine,
-        span_name,
-        {"coll_packets": float(machine.stats.counter_value("coll.packets"))},
-    )
+    metrics = {
+        "coll_packets": float(machine.stats.counter_value("coll.packets"))
+    }
+    agg = critpath.aggregate(machine.telemetry, span_name, top=0)
+    if allreduces:
+        # Shares of the barriers' total time (not of the attributed sum).
+        metrics["barrier_us"] = agg.total_us / agg.count if agg.count else 0.0
+        metrics["allreduce_us"] = (marks["end"] - marks["mid"]) / allreduces
+        metrics.update(
+            (f"{component}_pct", 100.0 * agg.fraction(component))
+            for component in ("cpu", "notify", "nic_dma", "link", "sync")
+        )
+    return _span_result(machine, agg, metrics)
 
 
 def _run_ping(spec) -> FleetResult:
-    senders = max(1, spec.nodes - 1)
-    machine = _machine(spec, senders + 1)
+    machine = _machine(spec, spec.nodes)
     spawn_stream(
         machine,
-        senders,
+        spec.nodes - 1,
         nbytes=int(spec.param("nbytes", 4096)),
         ops=int(spec.param("ops", 9)),
         reliable=bool(spec.param("reliable", False)),
     )
     machine.sim.run()
-    return _span_result(machine, "vmmc.send")
+    return _span_result(
+        machine, critpath.aggregate(machine.telemetry, "vmmc.send", top=0)
+    )
 
 
 def _run_serve(spec) -> FleetResult:
-    from ..serve import ServeCluster, ServeConfig
+    from ..serve import ServeCluster, ServeConfig, make_chaos
 
     # Chaos goes through repro.serve scenarios, not fleet fault plans.
     _require_defaults(spec, nodes_free=True)
@@ -496,41 +529,57 @@ def _run_serve(spec) -> FleetResult:
         raise ValueError(
             f"unknown serve measure {measure!r}; choose from latency, goodput"
         )
-    num_shards = max(1, spec.nodes // 2)
+    chaos = make_chaos(
+        str(spec.param("chaos", "none")),
+        at_us=SERVE_CHAOS_AT_US,
+        duration_us=SERVE_CHAOS_DURATION_US,
+    )
+    observe = bool(spec.param("observe", True))
+    num_shards = spec.nodes // 2
     config = ServeConfig(
         num_shards=num_shards,
-        num_aggregates=max(1, spec.nodes - num_shards),
+        num_aggregates=spec.nodes - num_shards,
         balancer=str(spec.param("balancer", "hash")),
         arrivals=str(spec.param("arrivals", "poisson")),
         offered_rps=float(spec.param("rps", 40_000.0)),
         duration_us=float(spec.param("duration_us", 5_000.0)),
     )
-    cluster = ServeCluster(config, seed=spec.seed, telemetry=True)
+    cluster = ServeCluster(config, seed=spec.seed, telemetry=observe)
+    cluster.setup()
+    chaos.apply(cluster)
     report = cluster.run()
     machine = cluster.machine
     telemetry = machine.telemetry
+    overall = report.overall
     result = FleetResult(
         unit="us",
         higher_is_better=False,
         samples=[
             span.duration
             for span in critpath.operation_roots(telemetry, "serve.request")
-        ],
+        ] if observe else [],
         telemetry=telemetry,
         monitor=machine.monitor,
         virtual_end_us=machine.now,
         metrics={
             "goodput_rps": report.goodput_rps,
-            "ok": float(report.overall.ok),
-            "late": float(report.overall.late),
-            "failed": float(report.overall.failed),
+            "offered": float(overall.offered),
+            "ok": float(overall.ok),
+            "late": float(overall.late),
+            "failed": float(overall.failed),
+            "p50_us": report.p50_us,
+            "p99_us": report.p99_us,
+            "p999_us": report.p999_us,
+            "timeout_rate": report.timeout_rate,
+            "failure_rate": report.failure_rate,
+            "drained_us": report.drained_us,
         },
         report=report.render(),
     )
     if measure == "goodput":
         result.unit, result.higher_is_better = "rps", True
         result.samples = [report.goodput_rps]
-    else:
+    elif observe:
         agg = critpath.aggregate(telemetry, "serve.request", top=0)
         result.attribution, result.ops = agg.components, agg.count
     return result
@@ -797,6 +846,8 @@ def _run_shard(spec) -> FleetResult:
             "events": float(result.events),
             "mean_hops": result.mean_hops,
             "mean_latency_us": result.mean_latency_us,
+            "max_latency_us": result.latency_max_us,
+            "virtual_end_us": result.virtual_end_us,
         },
     )
 
@@ -837,9 +888,9 @@ WORKLOADS: Dict[str, FleetWorkload] = {
         FleetWorkload(
             "coll",
             "collective latency: api=nx|coll, mode=nx|tree-host|tree-nic, "
-            "op=barrier|allreduce|bcast, ops=N",
+            "op=barrier|allreduce|bcast, ops=N, allreduces=N (api=nx)",
             _run_coll,
-            ("api", "mode", "op", "ops"),
+            ("allreduces", "api", "mode", "op", "ops"),
         ),
         FleetWorkload(
             "micro",
@@ -859,6 +910,7 @@ WORKLOADS: Dict[str, FleetWorkload] = {
             "(nodes-1)-to-1 vmmc sends: nbytes=N, ops=N, reliable=0|1",
             _run_ping,
             ("nbytes", "ops", "reliable"),
+            min_nodes=2,
         ),
         FleetWorkload(
             "ring",
@@ -869,9 +921,12 @@ WORKLOADS: Dict[str, FleetWorkload] = {
         FleetWorkload(
             "serve",
             "serving-tier request latency: balancer=..., arrivals=..., "
-            "rps=..., duration_us=..., measure=latency|goodput",
+            "rps=..., duration_us=..., chaos=none|link-outage|shard-stall|"
+            "rx-overflow, measure=latency|goodput, observe=0|1",
             _run_serve,
-            ("balancer", "arrivals", "rps", "duration_us", "measure"),
+            ("balancer", "arrivals", "rps", "duration_us", "chaos", "measure",
+             "observe"),
+            min_nodes=2,
         ),
         FleetWorkload(
             "shard",

@@ -1,12 +1,6 @@
 """The design-choice study: configurations, runner, tables and figures."""
 
-from .collectives import (
-    DEFAULT_COLL_MODES,
-    DEFAULT_COLL_NODES,
-    coll_cell,
-    coll_study,
-    format_coll_study,
-)
+from .collectives import coll_study, format_coll_study
 from .configs import CONFIGS, ExperimentConfig, config
 from .experiment import ExperimentRunner, run_families
 from .figures import (
@@ -19,13 +13,7 @@ from .figures import (
     format_figure4_du_au,
     format_figure4_svm,
 )
-from .largemesh import (
-    DEFAULT_LARGEMESH_NODES,
-    DEFAULT_LARGEMESH_PATTERNS,
-    format_largemesh_study,
-    largemesh_cell,
-    largemesh_study,
-)
+from .largemesh import format_largemesh_study, largemesh_study
 from .micro import format_micro_study, micro_study
 from .platforms import (
     myrinet_nic_config,
@@ -41,14 +29,7 @@ from .reliability import (
     reliability_study,
 )
 from .report import format_series, format_table
-from .serving import (
-    DEFAULT_BALANCERS,
-    DEFAULT_FAULTS,
-    DEFAULT_LOADS_RPS,
-    format_serving_study,
-    serving_cell,
-    serving_study,
-)
+from .serving import format_serving_study, serving_study
 from .suite import SUITE, SVM_PARAMS, AppSpec, spec
 from .tables import (
     TABLE2_PAPER,
@@ -90,21 +71,11 @@ __all__ = [
     "reliability_study",
     "format_reliability_study",
     "serving_study",
-    "serving_cell",
     "format_serving_study",
     "coll_study",
-    "coll_cell",
     "format_coll_study",
     "largemesh_study",
-    "largemesh_cell",
     "format_largemesh_study",
-    "DEFAULT_LARGEMESH_NODES",
-    "DEFAULT_LARGEMESH_PATTERNS",
-    "DEFAULT_COLL_MODES",
-    "DEFAULT_COLL_NODES",
-    "DEFAULT_LOADS_RPS",
-    "DEFAULT_BALANCERS",
-    "DEFAULT_FAULTS",
     "du_reliability_run",
     "au_loss_run",
     "DROP_PLANS",

@@ -5,8 +5,10 @@ Usage::
     python -m repro.study [FAMILY] [--nodes N]
 
 ``python -m repro.study --help`` lists every family with a one-line
-description.  The selected families' fleet runs are planned first, then
-run once each on as many processes as this process may use
+description.  Every family, growth-direction ones included, is a set of
+fleet specs: the selected families' specs are planned first, then run
+once each on as many processes as this process may use, and the
+families render from the records
 (:func:`repro.study.experiment.run_families`).  A family that raises, or
 that reads a run that failed, is reported on stderr, prints nothing,
 and makes the exit status non-zero.  ``all`` regenerates the
@@ -55,12 +57,6 @@ from . import (
     table3,
     table4,
 )
-
-
-def _private(render):
-    """A family that still builds its own machines (``serve``, ``coll``,
-    ``largemesh``): it renders on replay only, so planning builds none."""
-    return lambda runner, nodes: None if runner.planning else render(nodes)
 
 
 #: Every study family: name -> (description, in_all, emit(runner, nodes)).
@@ -135,22 +131,20 @@ FAMILIES = {
     "serve": (
         "serving tier: load x balancer x fault SLO sweep (not in `all`)",
         False,
-        _private(lambda nodes: format_serving_study(serving_study())),
+        lambda runner, nodes: format_serving_study(serving_study(runner)),
     ),
     "coll": (
         "collectives: host-side vs NIC-resident barrier/allreduce "
         "(not in `all`)",
         False,
-        _private(lambda nodes: format_coll_study(
-            coll_study(node_counts=sorted({4, 8, nodes}))
-        )),
+        lambda runner, nodes: format_coll_study(coll_study(runner, nodes)),
     ),
     "largemesh": (
         "large-mesh scaling: shard model at 16/64/256 nodes (not in `all`)",
         False,
-        _private(lambda nodes: format_largemesh_study(
-            largemesh_study(node_counts=sorted({16, 64, max(256, nodes)}))
-        )),
+        lambda runner, nodes: format_largemesh_study(
+            largemesh_study(runner, nodes)
+        ),
     ),
 }
 

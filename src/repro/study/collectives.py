@@ -13,11 +13,13 @@ Three placements of the same synchronization workload, across node counts:
   combining and replication happen in the interface, and the host CPUs
   see exactly one doorbell and one completion poll per operation.
 
-Latencies are mean per-operation span durations from telemetry (the
-barrier span wraps the full call on every rank), and each cell reports the
-critical-path attribution of its barrier spans — the ``cpu``/``notify``
-share collapsing between ``nx`` and ``tree-nic`` is *where the win comes
-from*, and the ``sync`` component shows the residual wait for peers.
+Each cell is a fleet ``coll`` record (``api=nx``, eight barriers then
+eight allreduces).  Latencies are mean per-operation durations (the
+barrier span wraps the full call on every rank), and each cell reports
+the critical-path attribution of its barrier spans — the
+``cpu``/``notify`` share collapsing between ``nx`` and ``tree-nic`` is
+*where the win comes from*, and the ``sync`` component shows the
+residual wait for peers.
 
 Run with ``python -m repro.study coll``.  Like ``serve``, the family is
 not part of ``python -m repro.study all`` — it studies the growth
@@ -27,59 +29,32 @@ byte-stable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from ..fleet.workloads import COLL_MODES, spawn_nx_coll
-from ..node import Machine
-from ..telemetry.critpath import aggregate
+from ..fleet.catalog import make_spec
+from ..fleet.workloads import COLL_MODES
 from .report import format_table
 
-__all__ = [
-    "DEFAULT_COLL_MODES",
-    "DEFAULT_COLL_NODES",
-    "coll_cell",
-    "coll_study",
-    "format_coll_study",
-]
+__all__ = ["coll_study", "format_coll_study"]
 
-DEFAULT_COLL_MODES = tuple(COLL_MODES)
-DEFAULT_COLL_NODES = (4, 8, 16)
+#: The record metrics each cell reads.
+_METRICS = ("barrier_us", "allreduce_us", "cpu_pct", "notify_pct",
+            "nic_dma_pct", "link_pct", "sync_pct", "coll_packets")
 
 
-def coll_cell(mode: str, nodes: int, ops: int = 8, seed: int = 1998) -> Dict:
-    """One cell: ``ops`` barriers then ``ops`` allreduces on ``nodes`` ranks."""
-    machine = Machine(num_nodes=nodes, seed=seed, telemetry=True)
-    marks = spawn_nx_coll(machine, nodes, mode, ops, allreduces=ops)
-    machine.sim.run()
-
-    agg = aggregate(machine.telemetry, COLL_MODES[mode][1], top=0)
-    barrier_us = agg.total_us / agg.count if agg.count else 0.0
-    return {
-        "mode": mode,
-        "nodes": nodes,
-        "ops": agg.count,
-        "barrier_us": barrier_us,
-        "allreduce_us": (marks["end"] - marks["mid"]) / ops,
-        "cpu_pct": 100.0 * agg.fraction("cpu"),
-        "notify_pct": 100.0 * agg.fraction("notify"),
-        "nic_dma_pct": 100.0 * agg.fraction("nic_dma"),
-        "link_pct": 100.0 * agg.fraction("link"),
-        "sync_pct": 100.0 * agg.fraction("sync"),
-        "coll_packets": machine.stats.counter_value("coll.packets"),
-    }
-
-
-def coll_study(
-    modes: Sequence[str] = DEFAULT_COLL_MODES,
-    node_counts: Sequence[int] = DEFAULT_COLL_NODES,
-    ops: int = 8,
-    seed: int = 1998,
-) -> List[Dict]:
-    """The full mode x node-count sweep, one dict per cell."""
+def coll_study(runner, nodes: int = 16) -> List[Dict]:
+    """Every barrier placement at 4, 8 and ``nodes`` nodes, one dict per
+    cell."""
     cells = []
-    for nodes in node_counts:
-        for mode in modes:
-            cells.append(coll_cell(mode, nodes, ops=ops, seed=seed))
+    for count in sorted({4, 8, nodes}):
+        for mode in COLL_MODES:
+            metrics = runner.metrics(make_spec(
+                "coll", nodes=count, seed=runner.seed, api="nx", mode=mode,
+                ops=8, allreduces=8,
+            ))
+            cell = {"mode": mode, "nodes": count}
+            cell.update((key, metrics[key]) for key in _METRICS)
+            cells.append(cell)
     return cells
 
 

@@ -48,11 +48,6 @@ class ExperimentRunner:
         #: Specs asked for while planning, by fingerprint.
         self.planned: Dict[str, ExperimentSpec] = {}
 
-    @property
-    def planning(self) -> bool:
-        """True until the runner serves records."""
-        return self.results is None
-
     def metrics(self, spec: ExperimentSpec) -> Dict[str, float]:
         """The metrics of ``spec``'s record."""
         if self.results is None:

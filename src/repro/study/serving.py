@@ -16,10 +16,11 @@ substrate, what does a sharded serving tier deliver?*  The sweep crosses:
   late (elevated p999, SLO misses) rather than failing — graceful
   degradation, not collapse.
 
-Each cell is one deterministic :class:`~repro.serve.ServeCluster` run; the
-offered arrival schedule is identical across every cell of the same load
-level (named RNG streams), so differences between cells are attributable
-to the design axis, not to traffic noise.
+Each cell is one deterministic fleet ``serve`` record (4 shards, 4
+aggregates, 10 ms of traffic, run without telemetry); the offered
+arrival schedule is identical across every cell of the same load level
+(named RNG streams), so differences between cells are attributable to
+the design axis, not to traffic noise.
 
 Run with ``python -m repro.study serve``.  The family is deliberately not
 part of ``python -m repro.study all`` — it studies the growth direction,
@@ -28,96 +29,37 @@ not the paper's own tables, and ``all`` stays byte-stable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
-from ..serve import ServeCluster, ServeConfig, make_chaos
+from ..fleet.catalog import make_spec
 from .report import format_table
 
-__all__ = [
-    "DEFAULT_LOADS_RPS",
-    "DEFAULT_BALANCERS",
-    "DEFAULT_FAULTS",
-    "serving_cell",
-    "serving_study",
-    "format_serving_study",
-]
-
-DEFAULT_LOADS_RPS: Tuple[float, ...] = (30_000.0, 90_000.0)
-DEFAULT_BALANCERS: Tuple[str, ...] = ("hash", "p2c")
-DEFAULT_FAULTS: Tuple[str, ...] = ("none", "link-outage")
-
-#: The transient outage window injected in the "link-outage" cells:
-#: 4 ms dark starting 2 ms into the traffic window — long enough to force
-#: several go-back-N backoff rounds, short enough for the default retry
-#: budget to ride it out.
-OUTAGE_AT_US = 2_000.0
-OUTAGE_DURATION_US = 4_000.0
+__all__ = ["serving_study", "format_serving_study"]
 
 
-def serving_cell(
-    offered_rps: float,
-    balancer: str,
-    fault: str,
-    num_shards: int = 4,
-    num_aggregates: int = 4,
-    duration_us: float = 10_000.0,
-    seed: int = 1998,
-) -> Dict[str, float]:
-    """Run one cell of the sweep; returns its headline SLO numbers."""
-    config = ServeConfig(
-        num_shards=num_shards,
-        num_aggregates=num_aggregates,
-        balancer=balancer,
-        offered_rps=offered_rps,
-        duration_us=duration_us,
-    )
-    cluster = ServeCluster(config, seed=seed)
-    cluster.setup()
-    if fault != "none":
-        make_chaos(
-            fault, at_us=OUTAGE_AT_US, duration_us=OUTAGE_DURATION_US
-        ).apply(cluster)
-    report = cluster.run()
-    return {
-        "offered_rps": offered_rps,
-        "balancer": balancer,
-        "fault": fault,
-        "offered": report.overall.offered,
-        "goodput_rps": report.goodput_rps,
-        "p50_us": report.p50_us,
-        "p99_us": report.p99_us,
-        "p999_us": report.p999_us,
-        "late_pct": 100.0 * report.timeout_rate,
-        "failed_pct": 100.0 * report.failure_rate,
-        "drained_us": report.drained_us,
-    }
-
-
-def serving_study(
-    loads: Sequence[float] = DEFAULT_LOADS_RPS,
-    balancers: Sequence[str] = DEFAULT_BALANCERS,
-    faults: Sequence[str] = DEFAULT_FAULTS,
-    num_shards: int = 4,
-    num_aggregates: int = 4,
-    duration_us: float = 10_000.0,
-    seed: int = 1998,
-) -> List[Dict[str, float]]:
-    """The full load x balancer x fault sweep, one dict per cell."""
+def serving_study(runner) -> List[Dict[str, float]]:
+    """The load x balancer x fault sweep, one dict per cell."""
     cells = []
-    for rps in loads:
-        for balancer in balancers:
-            for fault in faults:
-                cells.append(
-                    serving_cell(
-                        rps,
-                        balancer,
-                        fault,
-                        num_shards=num_shards,
-                        num_aggregates=num_aggregates,
-                        duration_us=duration_us,
-                        seed=seed,
-                    )
-                )
+    for rps in (30_000.0, 90_000.0):
+        for balancer in ("hash", "p2c"):
+            for fault in ("none", "link-outage"):
+                metrics = runner.metrics(make_spec(
+                    "serve", nodes=8, seed=runner.seed, rps=rps,
+                    balancer=balancer, duration_us=10_000.0, chaos=fault,
+                    observe=False,
+                ))
+                cells.append({
+                    "offered_rps": rps,
+                    "balancer": balancer,
+                    "fault": fault,
+                    "offered": int(metrics["offered"]),
+                    "goodput_rps": metrics["goodput_rps"],
+                    "p50_us": metrics["p50_us"],
+                    "p99_us": metrics["p99_us"],
+                    "p999_us": metrics["p999_us"],
+                    "late_pct": 100.0 * metrics["timeout_rate"],
+                    "failed_pct": 100.0 * metrics["failure_rate"],
+                })
     return cells
 
 

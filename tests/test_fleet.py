@@ -92,6 +92,9 @@ def test_spec_rejects_unsorted_or_non_scalar_params():
         make_spec("coll", bad={"nested": 1})
     with pytest.raises(ValueError):
         ExperimentSpec.from_json({"schema": 99, "workload": "coll"})
+    for nodes in (0, -1):
+        with pytest.raises(ValueError, match="'nodes'"):
+            make_spec("ping", nodes=nodes)
 
 
 # -- catalogs and matrices -----------------------------------------------
@@ -154,6 +157,11 @@ BAD_CATALOGS = [
     ({"matrix": {"workload": "coll", "params": ["nx"]}}, "'params'"),
     ({"specs": [{"workload": "coll", "params": {"nodes": 4}}],
       "name": 7}, "'name'"),
+    ({"specs": [{"workload": "ping", "nodes": 0, "params": {"ops": 1}}]},
+     "'nodes'"),
+    ({"specs": [{"workload": "ping", "nodes": 1, "params": {"ops": 1}}]},
+     "nodes >= 2"),
+    ({"specs": [{"workload": "serve", "nodes": 1}]}, "nodes >= 2"),
 ]
 
 
@@ -247,9 +255,8 @@ def test_every_shipped_spec_reads_only_declared_params():
     specs = [spec for name in BUILTIN_MATRICES for spec in load_catalog(name)]
     specs += [entry.spec for entry in REGISTRY.values()]
     planner = ExperimentRunner()
-    for _description, in_all, emitter in FAMILIES.values():
-        if in_all:
-            emitter(planner, 16)
+    for _description, _in_all, emitter in FAMILIES.values():
+        emitter(planner, 16)
     assert planner.planned
     specs += planner.planned.values()
     for spec in specs:
@@ -562,9 +569,17 @@ def test_coll_workload_selects_program_by_api():
         make_spec("coll", nodes=4, api="coll", mode="nx"),
         make_spec("coll", nodes=4, api="mpi"),
         make_spec("coll", nodes=4, api="coll", op="scan"),
+        make_spec("coll", nodes=4, api="coll", mode="tree-nic",
+                  allreduces=2),
     ):
         with pytest.raises(ValueError):
             resolve_workload("coll").run(bad)
+
+
+def test_serve_rejects_unknown_chaos():
+    with pytest.raises(ValueError, match="chaos"):
+        resolve_workload("serve").run(make_spec("serve", nodes=4,
+                                                chaos="meteor"))
 
 
 def test_app_and_micro_workloads():

@@ -201,14 +201,44 @@ def test_planning_every_all_family_builds_no_machine(monkeypatch):
     assert info.value.args == (0, 104)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_micro_and_reliability_match_committed_study(workers):
+def test_no_family_builds_a_machine_in_the_calling_process(monkeypatch):
+    """Every family, ``all`` or not, is planned and then replayed from
+    records: neither pass builds a machine, a serving tier or a mesh
+    model here.  Replay reads placeholder records, so nothing runs."""
+    from collections import defaultdict
+
+    import repro.shard
+    from repro.node import Machine
+    from repro.serve import ServeCluster
+    from repro.study.__main__ import FAMILIES
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built in the calling process")
+
+    monkeypatch.setattr(Machine, "__init__", forbidden)
+    monkeypatch.setattr(ServeCluster, "__init__", forbidden)
+    monkeypatch.setattr(repro.shard, "run_serial", forbidden)
+    for name, (_description, _in_all, emitter) in FAMILIES.items():
+        planner = ExperimentRunner()
+        emitter(planner, 16)
+        results = {fingerprint: defaultdict(lambda: 1.0)
+                   for fingerprint in planner.planned}
+        text = emitter(ExperimentRunner(results=results), 16)
+        assert planner.planned and isinstance(text, str), name
+
+
+def _committed(name):
     import os
 
     path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
-                        "baseline", "STUDY_all.txt")
+                        "baseline", name)
     with open(path, encoding="utf-8") as fh:
-        committed = fh.read()
+        return fh.read()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_micro_and_reliability_match_committed_study(workers):
+    committed = _committed("STUDY_all.txt")
     families = _all_families()
     values = run_families(
         {name: families[name] for name in ("micro", "reliability")},
@@ -306,17 +336,24 @@ def test_family_registry_complete_and_documented():
 
 
 def test_coll_study_cell_and_formatting():
-    from repro.study import coll_cell, format_coll_study
+    from repro.study import coll_study, format_coll_study
 
-    nic = coll_cell("tree-nic", nodes=4, ops=2)
-    host = coll_cell("tree-host", nodes=4, ops=2)
-    nx = coll_cell("nx", nodes=4, ops=2)
+    values = run_families({"coll": lambda runner: coll_study(runner, 4)},
+                          workers=1)
+    cells = {(cell["nodes"], cell["mode"]): cell for cell in values["coll"]}
+    assert sorted(cells) == [(n, mode) for n in (4, 8)
+                             for mode in ("nx", "tree-host", "tree-nic")]
+    nic, host, nx = (cells[(4, mode)] for mode in ("tree-nic", "tree-host",
+                                                   "nx"))
     assert nic["barrier_us"] < nx["barrier_us"]
     assert nic["coll_packets"] > 0
     assert nx["coll_packets"] == 0
     text = format_coll_study([nx, host, nic])
     assert "NIC-side barrier speedup" in text
     assert "tree-nic" in text and "tree-host" in text
+    # The 4- and 8-node rows are the committed study's rows.
+    rows = format_coll_study(values["coll"]).splitlines()[4:10]
+    assert set(rows) <= set(_committed("STUDY_coll.txt").splitlines())
 
 
 def test_cli_exits_nonzero_when_a_family_raises(capsys, monkeypatch):
