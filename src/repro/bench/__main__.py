@@ -19,6 +19,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .compare import compare_docs, comparison_to_json, render_comparison
@@ -96,6 +97,7 @@ def _cmd_run(args) -> int:
         names=args.bench,
         log=lambda line: print(line, file=sys.stderr),
         suite=args.suite,
+        workers=len(os.sched_getaffinity(0)),
     )
     path = args.out or f"BENCH_{args.label}.json"
     write_bench(doc, path)

@@ -1,13 +1,14 @@
 """The benchmark harness: run the curated set, emit ``BENCH_<label>.json``.
 
 Every benchmark is a :class:`~repro.bench.workloads.BenchEntry` naming a
-fleet spec; the harness runs the spec's workload once per seed, each run
-yielding a :class:`~repro.fleet.workloads.FleetResult` — one or more
+fleet spec.  The harness plans it once per seed and runs every entry's
+specs together through :func:`repro.fleet.runner.run_specs`, with no
+store and no sidecars; each run's record holds one or more
 **virtual-time** samples plus an optional critical-path attribution
 vector.  Samples are pooled (paired across files by position, so two runs
 with the same seed list compare sample-for-sample) and serialized as a
 deterministic JSON document: no wall-clock or host fields, so a committed
-baseline reproduces byte-for-byte on any machine.
+baseline reproduces byte-for-byte on any machine and any worker count.
 """
 
 from __future__ import annotations
@@ -110,43 +111,51 @@ def run_benchmarks(
     names: Optional[Sequence[str]] = None,
     log: Optional[Callable[[str], None]] = None,
     suite: str = "seed",
+    workers: int = 1,
 ) -> Dict:
     """Run the selected benchmarks and build the ``BENCH_*`` document.
+
+    Every entry x seed is a spec, and all of them run once, with no
+    store, on ``workers`` processes; a failed spec raises, naming its
+    entry and seed.  Records pool in entry order, then seed order.
 
     The document schema is suite-independent (no suite field), so the
     committed ``BENCH_seed.json`` baseline is unaffected by new suites.
     """
     from .. import __version__
-    from ..fleet.workloads import resolve_workload
+    from ..fleet.runner import run_specs
     from ..hardware import DEFAULT_PARAMS
 
+    entries = select(names, quick=quick, suite=suite)
+    specs = [replace(bench.spec, seed=seed)
+             for bench in entries for seed in seeds]
+    outcomes = {o.fingerprint: o for o in run_specs(specs, None, workers)}
     benchmarks: Dict[str, Dict] = {}
-    for bench in select(names, quick=quick, suite=suite):
-        workload = resolve_workload(bench.spec.workload)
+    for bench in entries:
         samples: List[float] = []
         attribution: Dict[str, float] = {}
         ops = 0
         for seed in seeds:
-            result = workload.run(replace(bench.spec, seed=seed))
-            if not result.samples:
+            outcome = outcomes[replace(bench.spec, seed=seed).fingerprint]
+            if outcome.error is not None:
+                raise RuntimeError(f"benchmark {bench.name} seed {seed} "
+                                   f"failed:\n{outcome.error}")
+            run = outcome.record.get("bench")
+            if run is None:
                 raise RuntimeError(f"benchmark {bench.name} produced no samples")
-            samples.extend(result.samples)
-            if result.attribution is not None:
-                ops += result.ops
-                for key, value in result.attribution.items():
+            samples.extend(run["samples"])
+            sums = outcome.record.get("attribution_sums")
+            if sums is not None:
+                ops += run.get("ops", 0)
+                for key, value in sums.items():
                     attribution[key] = attribution.get(key, 0.0) + value
-        entry = make_entry(
-            result.unit,
-            result.higher_is_better,
-            samples,
-            attribution=attribution,
-            ops=ops,
-        )
+        entry = make_entry(run["unit"], run["higher_is_better"], samples,
+                           attribution=attribution, ops=ops)
         benchmarks[bench.name] = entry
         if log is not None:
             log(
                 f"{bench.name}: n={len(samples)} median={entry['median']:.3f} "
-                f"{result.unit}"
+                f"{run['unit']}"
             )
     return {
         "schema": SCHEMA_VERSION,

@@ -4,7 +4,7 @@ Every benchmark is a :class:`BenchEntry` — a name, a suite, a quick flag,
 a description and an :class:`~repro.fleet.ExperimentSpec` (a
 :mod:`repro.fleet.workloads` workload plus its params).  No program is
 written here: :func:`repro.bench.core.run_benchmarks` runs each entry's
-spec through :func:`repro.fleet.workloads.resolve_workload` once per seed.
+spec once per seed through :func:`repro.fleet.runner.run_specs`.
 
 The ``seed`` suite (gated by ``BENCH_seed.json``) has three families:
 

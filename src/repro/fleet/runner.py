@@ -1,15 +1,16 @@
-"""The fan-out runner: specs -> workers -> run store, with cache hits.
+"""The fan-out runner: specs -> workers -> records, with cache hits.
 
-``run_specs`` takes a list of :class:`ExperimentSpec`, checks each
-against the store, and executes only the misses (and invalid records,
-which are re-run rather than served).  Execution happens either inline
-(``workers <= 1``) or on a ``concurrent.futures`` process pool — every
-worker runs the spec's fleet workload **in-process** and writes its own
-``runs/<fingerprint>/`` directory, so parallel workers never share
-mutable state and a 2-worker fan-out produces byte-identical records to
-a serial run (tested).  A worker
-that dies outright (SIGKILL, the OOM killer) fails the specs that had
-not finished instead of wedging the run.
+``run_specs``, the one way ``fleet run``, ``study`` and ``bench`` run
+specs, checks each against the store and executes only the misses (and
+invalid records, which are re-run rather than served); with no store it
+runs them all, renders no sidecar and returns the records.  Execution
+happens inline or on a ``concurrent.futures`` process pool of at most
+one worker per pending spec — every worker runs the spec's fleet
+workload **in-process** and writes its own ``runs/<fingerprint>/``
+directory, so parallel workers never share mutable state and a 2-worker
+fan-out produces byte-identical records to a serial run (tested).  A
+worker that dies outright (SIGKILL, the OOM killer) fails the specs
+that had not finished instead of wedging the run.
 
 The record document (``RunRecord``) embeds a ``BENCH_*``-schema stats
 entry built by :func:`repro.bench.core.make_entry`, which is what lets
@@ -40,6 +41,8 @@ class RunOutcome:
     #: "cached" | "ran" | "reran" (invalid record replaced) | "error"
     status: str
     error: Optional[str] = None
+    #: The record of a store-less run that did not fail.
+    record: Optional[Dict] = None
 
     @property
     def cached(self) -> bool:
@@ -47,15 +50,16 @@ class RunOutcome:
 
 
 def build_record(
-    spec: ExperimentSpec, result: FleetResult
+    spec: ExperimentSpec, result: FleetResult, render: bool = True
 ) -> Tuple[Dict, Dict[str, str]]:
     """The (record document, sidecar contents) for one finished run.
 
     No wall-clock fields anywhere: the record is a pure function of the
     spec and the code, so re-runs reproduce it byte-for-byte.
+    ``render=False`` renders no sidecar.  ``attribution_sums`` is the
+    un-divided attribution, which runs are pooled from.
     """
     from ..bench.core import make_entry
-    from ..telemetry.export import to_chrome_trace
 
     fingerprint = spec.fingerprint
     record: Dict = {
@@ -76,9 +80,13 @@ def build_record(
             attribution=result.attribution,
             ops=result.ops,
         )
+    if result.attribution is not None:
+        record["attribution_sums"] = result.attribution
     sidecars: Dict[str, str] = {}
     artifacts: Dict[str, str] = {}
-    if result.telemetry is not None:
+    if render and result.telemetry is not None:
+        from ..telemetry.export import to_chrome_trace
+
         label = f"{spec.workload}@{fingerprint}"
         sidecars["trace.json"] = json.dumps(
             to_chrome_trace(result.telemetry, label=label)
@@ -98,29 +106,35 @@ def build_record(
                 for trip in monitor.trips
             ],
         }
-        if not monitor.healthy:
+        if render and not monitor.healthy:
             postmortem = monitor.postmortem()
             sidecars["postmortem.json"] = json.dumps(
                 postmortem.to_json(), indent=2, sort_keys=True
             )
             artifacts["postmortem"] = "postmortem.json"
-    if result.report is not None:
+    if render and result.report is not None:
         sidecars["report.txt"] = result.report + "\n"
         artifacts["report"] = "report.txt"
     record["artifacts"] = artifacts
     return record, sidecars
 
 
-def execute_spec(spec: ExperimentSpec, store: RunStore) -> str:
-    """Run one spec and commit its record; returns the record path."""
-    workload = resolve_workload(spec.workload)
-    result = workload.run(spec)
-    record, sidecars = build_record(spec, result)
-    return store.put(record, sidecars)
+def execute_spec(spec: ExperimentSpec, store: Optional[RunStore]) -> Dict:
+    """Run one spec and commit its record to ``store`` (None: render no
+    sidecar); returns the record as JSON reads it back, so it holds the
+    same values whether or not it crosses a process pool."""
+    result = resolve_workload(spec.workload).run(spec)
+    record, sidecars = build_record(spec, result, render=store is not None)
+    if store is not None:
+        store.put(record, sidecars)
+    return json.loads(json.dumps(record))
 
 
-def _pool_worker(spec_doc: dict, root: str, heartbeats) -> Optional[str]:
-    """Run one spec in a pool process; returns its traceback, or None.
+def _pool_worker(
+    spec: ExperimentSpec, store: Optional[RunStore], heartbeats
+) -> Tuple:
+    """Run one spec; returns (its traceback or None, its record when
+    there is no store).
 
     Module-level so it pickles under both fork and spawn starts.
     ``heartbeats`` (a manager queue, or None) is the fleet's progress
@@ -128,22 +142,21 @@ def _pool_worker(spec_doc: dict, root: str, heartbeats) -> Optional[str]:
     Run records never contain wall-clock fields, so the heartbeat traffic
     cannot change a stored byte — it only feeds the master's ticker.
     """
-    spec = ExperimentSpec.from_json(spec_doc)
     if heartbeats is not None:
         heartbeats.put(("start", spec.fingerprint))
     try:
-        execute_spec(spec, RunStore(root))
+        record = execute_spec(spec, store)
     except Exception:  # noqa: BLE001 - reported per-spec by the caller
-        return traceback.format_exc()
-    return None
+        return traceback.format_exc(), None
+    return None, (record if store is None else None)
 
 
 def _run_pool(
     pending: Sequence[Tuple[ExperimentSpec, str]],
-    store: RunStore,
+    store: Optional[RunStore],
     workers: int,
     progress: Optional[Callable[[Tuple], None]],
-    finished: Callable[[ExperimentSpec, str, Optional[str]], None],
+    finished: Callable[[ExperimentSpec, str, Tuple], None],
 ) -> None:
     """Run ``pending`` on ``workers`` processes; ``finished`` gets each end.
 
@@ -171,10 +184,10 @@ def _run_pool(
         for spec, status in pending:
             try:
                 future = pool.submit(
-                    _pool_worker, spec.to_json(), store.root, heartbeats
+                    _pool_worker, spec, store, heartbeats
                 )
             except BrokenProcessPool as exc:  # broke while submitting
-                finished(spec, status, f"{type(exc).__name__}: {exc}")
+                finished(spec, status, (f"{type(exc).__name__}: {exc}", None))
             else:
                 running[future] = (spec, status)
         while running:
@@ -192,10 +205,10 @@ def _run_pool(
             for future in done:
                 spec, status = running.pop(future)
                 try:
-                    error = future.result()
+                    ran = future.result()
                 except BrokenProcessPool as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                finished(spec, status, error)
+                    ran = (f"{type(exc).__name__}: {exc}", None)
+                finished(spec, status, ran)
     finally:
         # Cancelled futures matter only when an exception (an interrupt)
         # leaves the loop early: queued specs must not run on.
@@ -206,7 +219,7 @@ def _run_pool(
 
 def run_specs(
     specs: Sequence[ExperimentSpec],
-    store: RunStore,
+    store: Optional[RunStore],
     workers: int = 1,
     force: bool = False,
     log: Optional[Callable[[str], None]] = None,
@@ -217,7 +230,9 @@ def run_specs(
     Duplicate fingerprints are collapsed (first occurrence wins); valid
     cached records are served without executing anything unless
     ``force``; invalid records are replaced.  Outcomes preserve the
-    input order of the surviving specs.
+    input order of the surviving specs.  With ``store=None`` every spec
+    runs and its outcome carries the record.  A lone pending spec runs
+    in this process.
 
     ``progress``, when given, receives live ``("start", fingerprint,
     description)`` and ``("done", fingerprint, status)`` events — for
@@ -226,10 +241,7 @@ def run_specs(
     ``progress`` is set, so the default pool path is untouched.
     """
 
-    def note(line: str) -> None:
-        if log is not None:
-            log(line)
-
+    note = log or (lambda line: None)
     unique: List[ExperimentSpec] = []
     seen = set()
     for spec in specs:
@@ -240,7 +252,7 @@ def run_specs(
     pending: List[Tuple[ExperimentSpec, str]] = []
     statuses: Dict[str, str] = {}
     for spec in unique:
-        status = store.status(spec)
+        status = "miss" if store is None else store.status(spec)
         if status == "hit" and not force:
             statuses[spec.fingerprint] = "cached"
             note(f"{spec.fingerprint}  cached  {spec.describe()}")
@@ -249,43 +261,33 @@ def run_specs(
         else:
             pending.append((spec, status))
 
-    errors: Dict[str, str] = {}
+    #: fingerprint -> (error, record) of each pending spec.
+    ends: Dict[str, Tuple] = {}
 
-    def finished(
-        spec: ExperimentSpec, status: str, error: Optional[str]
-    ) -> None:
-        if error is not None:
-            errors[spec.fingerprint] = error
+    def finished(spec: ExperimentSpec, status: str, ran: Tuple) -> None:
+        ends[spec.fingerprint] = ran
         statuses[spec.fingerprint] = (
-            "error" if error is not None
+            "error" if ran[0] is not None
             else "reran" if status == "invalid" else "ran"
         )
         if progress is not None:
             progress(("done", spec.fingerprint, statuses[spec.fingerprint]))
 
-    if workers > 1 and pending:
+    workers = min(workers, len(pending))
+    if workers > 1:
         _run_pool(pending, store, workers, progress, finished)
     else:
         for spec, status in pending:
             if progress is not None:
                 progress(("start", spec.fingerprint, spec.describe()))
-            try:
-                execute_spec(spec, store)
-                error = None
-            except Exception:  # noqa: BLE001 - reported per-spec
-                error = traceback.format_exc()
-            finished(spec, status, error)
+            finished(spec, status, _pool_worker(spec, store, None))
     verbs = {"error": "ERROR   ", "reran": "reran  ", "ran": "ran    "}
     for spec, _status in pending:
         verb = verbs[statuses[spec.fingerprint]]
         note(f"{spec.fingerprint}  {verb}{spec.describe()}")
 
     return [
-        RunOutcome(
-            spec=spec,
-            fingerprint=spec.fingerprint,
-            status=statuses[spec.fingerprint],
-            error=errors.get(spec.fingerprint),
-        )
+        RunOutcome(spec, spec.fingerprint, statuses[spec.fingerprint],
+                   *ends.get(spec.fingerprint, (None, None)))
         for spec in unique
     ]

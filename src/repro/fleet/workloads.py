@@ -3,9 +3,9 @@
 Every workload maps an :class:`ExperimentSpec` to a :class:`FleetResult`
 (samples, attribution, telemetry, monitor, metrics, report).  The other
 experiment surfaces select from this registry instead of copying it:
-``repro.bench`` suites are named specs run through
-:func:`resolve_workload`, ``repro.obs profile`` runs catalog specs through
-it, ``repro.study`` reads its records' ``metrics``, ``repro.obs
+``repro.bench`` and ``repro.study`` read the records of specs run
+through :func:`repro.fleet.runner.run_specs`, ``repro.obs profile``
+runs catalog specs through :func:`resolve_workload`, ``repro.obs
 scrape`` calls :func:`spawn_stream` on a machine it builds, and tests
 and examples drive :func:`spawn_fan_in` and :func:`spawn_outage` the
 same way.

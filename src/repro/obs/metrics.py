@@ -248,15 +248,6 @@ class MetricsRegistry:
                 kind="counter",
             )
 
-    def register_coll(self, world) -> None:
-        """Probe one collective world's completed-op count."""
-        index = getattr(world, "world_id", len(self.series))
-        self.add_probe(
-            f"coll.world{index}.ops",
-            lambda: float(getattr(world, "ops_completed", 0)),
-            kind="counter",
-        )
-
     # -- sampling ---------------------------------------------------------
 
     def tick(self, now: float, dispatched: int) -> None:

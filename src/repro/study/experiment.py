@@ -2,20 +2,19 @@
 
 :func:`run_families` runs each family twice: first against a planning
 runner that notes the fleet specs it asks for, then, once their union
-has run through :func:`repro.fleet.runner.run_specs`, against a runner
-serving the records.  So a family's own loop is the only list of the
-runs it needs.
+has run through :func:`repro.fleet.runner.run_specs` with no store
+(no sidecar is rendered; each record comes back on its outcome),
+against a runner serving the records.  So a family's own loop is the
+only list of the runs it needs.
 """
 
 from __future__ import annotations
 
-from tempfile import TemporaryDirectory
 from typing import Callable, Dict, Optional, Union
 
 from ..apps import AppResult
 from ..fleet.catalog import ExperimentSpec, make_spec
 from ..fleet.runner import run_specs
-from ..fleet.store import RunStore
 from ..fleet.workloads import app_result
 from .suite import spec as app_spec
 
@@ -91,17 +90,13 @@ class ExperimentRunner:
         return app_result(run_spec, self.metrics(run_spec))
 
     def execute(self, workers: int = 1) -> "ExperimentRunner":
-        """Run each planned spec once, into a temporary run store; a
-        runner that serves their records."""
-        results: Dict[str, Union[Dict[str, float], str]] = {}
-        with TemporaryDirectory(prefix="repro-study-") as root:
-            store = RunStore(root)
-            planned = list(self.planned.values())
-            for outcome in run_specs(planned, store, workers=workers):
-                results[outcome.fingerprint] = outcome.error or store.load(
-                    outcome.fingerprint
-                )["metrics"]
-        return ExperimentRunner(self.seed, results)
+        """Run each planned spec once, with no store; a runner that
+        serves their records."""
+        outcomes = run_specs(list(self.planned.values()), None, workers)
+        return ExperimentRunner(self.seed, {
+            outcome.fingerprint: outcome.error or outcome.record["metrics"]
+            for outcome in outcomes
+        })
 
     def slowdown_percent(
         self,

@@ -87,6 +87,27 @@ def test_runs_are_deterministic(doc):
     assert again == doc
 
 
+def test_failing_entry_raises_naming_entry_and_seed(monkeypatch):
+    from repro.bench.workloads import BenchEntry
+    from repro.fleet import make_spec
+    from repro.fleet.workloads import WORKLOADS, FleetWorkload
+
+    def fail(spec):
+        raise ValueError(f"no run at seed {spec.seed}")
+
+    monkeypatch.setitem(WORKLOADS, "fail",
+                        FleetWorkload("fail", "raises", fail))
+    monkeypatch.setitem(REGISTRY, "fail", BenchEntry(
+        "fail", "seed", False, "raises", make_spec("fail", nodes=1)))
+    with pytest.raises(RuntimeError) as info:
+        run_benchmarks("t", names=["du_word_latency", "fail"],
+                       seeds=[1998, 1999])
+    message = str(info.value)
+    assert message.startswith("benchmark fail seed 1998 failed:")
+    assert "Traceback" in message
+    assert "ValueError: no run at seed 1998" in message
+
+
 def test_write_load_roundtrip_creates_parent_dirs(doc, tmp_path):
     path = tmp_path / "deep" / "nested" / "BENCH_t.json"
     write_bench(doc, str(path))

@@ -540,6 +540,53 @@ def test_import_repro_does_not_load_multiprocessing():
     assert out.strip() == "False"
 
 
+# -- store-less runs ------------------------------------------------------
+
+SPEC_PING = make_spec("ping", nodes=2, ops=2, nbytes=64)
+
+
+def test_storeless_run_renders_no_sidecar(monkeypatch):
+    import repro.telemetry.export as export
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a store-less run rendered a trace")
+
+    monkeypatch.setattr(export, "to_chrome_trace", refuse)
+    [outcome] = run_specs([SPEC_PING], None)
+    assert (outcome.status, outcome.error) == ("ran", None)
+    assert outcome.record["artifacts"] == {}
+    assert outcome.record["bench"]["samples"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_storeless_records_match_stored_records(tmp_path, workers):
+    specs = [SPEC_PING, SPEC_NX]
+    store = RunStore(str(tmp_path / "runs"))
+    assert [o.record for o in run_specs(specs, store)] == [None, None]
+    outcomes = run_specs(specs, None, workers=workers)
+    for spec, outcome in zip(specs, outcomes):
+        stored = store.load(spec.fingerprint)
+        for key in ("metrics", "bench", "attribution_sums"):
+            assert outcome.record[key] == stored[key], (spec.describe(), key)
+    # The raw sums are the per-op attribution before the division.
+    bench = outcomes[0].record["bench"]
+    sums = outcomes[0].record["attribution_sums"]
+    assert bench["attribution"] == {
+        key: value / bench["ops"] for key, value in sums.items()
+    }
+
+
+def test_one_pending_spec_starts_no_pool(monkeypatch):
+    import repro.fleet.runner as runner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lone spec started a pool")
+
+    monkeypatch.setattr(runner, "_run_pool", refuse)
+    [outcome] = run_specs([SPEC_PING, SPEC_PING], None, workers=4)
+    assert outcome.status == "ran"
+
+
 # -- the workload registry -----------------------------------------------
 
 
