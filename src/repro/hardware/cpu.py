@@ -87,10 +87,6 @@ class CPU:
         self.total_interrupt_us += duration
         self.stats.count("cpu.interrupts")
 
-    def drain_steal(self) -> float:
-        stolen, self._pending_steal = self._pending_steal, 0.0
-        return stolen
-
     @property
     def pending_steal(self) -> float:
         return self._pending_steal

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .memory import PhysicalMemory
 
@@ -113,9 +113,6 @@ class AddressSpace:
     def is_mapped(self, vpage: int) -> bool:
         return vpage in self._table
 
-    def mapped_pages(self) -> List[int]:
-        return sorted(self._table)
-
     # -- protection / mode -----------------------------------------------
 
     def protect(self, vpage: int, protection: Protection) -> None:
@@ -131,9 +128,6 @@ class AddressSpace:
         return entry
 
     # -- translation ------------------------------------------------------
-
-    def vpage_of(self, vaddr: int) -> int:
-        return vaddr // self.page_size
 
     def translate(self, vaddr: int, access: Protection) -> int:
         """Virtual address -> physical address, enforcing protection."""

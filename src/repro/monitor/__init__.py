@@ -12,8 +12,9 @@ Pieces:
   retransmit storms, link saturation) sampled from the engine's run loop;
   installed via :meth:`repro.node.machine.Machine.enable_monitor` and
   None-gated everywhere, so a monitor-off run is byte-identical.
-* :class:`FlightRecorder` — a bounded ring over the telemetry stream;
-  every trip snapshots the trailing events as evidence.
+* The flight recorder (:meth:`HealthMonitor.recording`) — the last
+  ``flight_recorder_events`` events of the collector's own stream since
+  the monitor armed; every trip copies it as evidence.
 * :class:`Postmortem` / :func:`capture` — a wait-for state dump naming
   each blocked process, the Resource/Queue/Signal it waits on, recorded
   holders, deadlock cycles, and injected link outages.
@@ -36,14 +37,12 @@ are the fleet ``monitor`` workload's scenarios::
 
 from .config import MonitorConfig
 from .health import HealthMonitor, Trip
-from .postmortem import Postmortem, capture, describe_event
-from .recorder import FlightRecorder, events_to_json
+from .postmortem import Postmortem, capture, describe_event, events_to_json
 
 __all__ = [
     "HealthMonitor",
     "MonitorConfig",
     "Trip",
-    "FlightRecorder",
     "Postmortem",
     "capture",
     "describe_event",

@@ -42,7 +42,7 @@ class MonitorConfig:
     link_saturation: float = 0.999
     #: Consecutive saturated intervals before ``link_saturated`` trips.
     link_saturation_windows: int = 8
-    #: Telemetry events kept in the flight-recorder ring.
+    #: Trailing telemetry events the flight recorder shows.
     flight_recorder_events: int = 256
     #: Hard cap on recorded trips (later trips are counted, not stored).
     max_trips: int = 64

@@ -36,10 +36,12 @@ Detectors, and where their observations come from:
   interval; ``link_saturation_windows`` consecutive saturated intervals
   trip ``link_saturated``.
 
-Each trip snapshots the flight recorder (the trailing telemetry events),
-so the postmortem carries what the machine was doing right before it
-wedged.  Trips are latched per ``(kind, subject)``: a condition that stays
-bad yields one trip, and re-trips only after it clears and recurs.
+Each trip copies the flight recorder — the last
+``flight_recorder_events`` telemetry events recorded since the monitor
+armed, read from the collector's own stream — so the postmortem carries
+what the machine was doing right before it wedged.  Trips are latched
+per ``(kind, subject)``: a condition that stays bad yields one trip, and
+re-trips only after it clears and recurs.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..telemetry.events import TelemetryEvent
 from .config import MonitorConfig
-from .recorder import FlightRecorder, events_to_json
+from .postmortem import capture, describe_event, events_to_json
 
 __all__ = ["HealthMonitor", "Trip"]
 
@@ -63,7 +66,7 @@ class Trip:
     subject: str
     detail: str
     data: Dict[str, Any] = field(default_factory=dict)
-    #: Flight-recorder snapshot (trailing telemetry events) at trip time.
+    #: The flight recorder (trailing telemetry events) at trip time.
     recording: list = field(default_factory=list)
 
     def render(self) -> str:
@@ -98,7 +101,7 @@ class HealthMonitor:
 
     Create via :meth:`repro.node.machine.Machine.enable_monitor`; the
     constructor arms the telemetry collector (the flight recorder is a
-    telemetry sink), installs itself as ``sim.monitor`` (the layers'
+    window over its events), installs itself as ``sim.monitor`` (the layers'
     ``note_*`` hook target) and joins ``sim.observers``.  Install before
     the first ``sim.run()`` — the run loop hoists both.
     """
@@ -108,10 +111,11 @@ class HealthMonitor:
         self.sim = machine.sim
         self.config = config or MonitorConfig()
         cfg = self.config
-        #: The flight recorder rides the telemetry stream, so a monitor
-        #: implies an armed collector.
-        self.recorder = FlightRecorder(cfg.flight_recorder_events)
-        machine.enable_telemetry().add_sink(self.recorder)
+        #: The flight recorder reads the collector's events, so a monitor
+        #: implies an armed collector; it starts at the event count here.
+        self.telemetry = machine.enable_telemetry()
+        self.telemetry.keep_overflow(cfg.flight_recorder_events)
+        self._armed_at = self.telemetry.recorded
         #: Trips in detection order (capped at ``config.max_trips``).
         self.trips: List[Trip] = []
         self.trip_counts: Dict[str, int] = {}
@@ -126,8 +130,6 @@ class HealthMonitor:
         self._livelock_ticks = 0
         # Retransmit-round timestamps per channel id (pruned to the window).
         self._retx_rounds: Dict[int, deque] = {}
-        #: Per-node count of fault-injected receive-FIFO overflow discards.
-        self.rx_overflow_drops: Dict[int, int] = {}
         # Link-saturation state: cumulative busy and consecutive hot windows.
         self._link_busy: Dict[Any, float] = {}
         self._link_hot: Dict[Any, int] = {}
@@ -150,12 +152,24 @@ class HealthMonitor:
             return list(self.trips)
         return [t for t in self.trips if t.kind == kind]
 
+    @property
+    def observed(self) -> int:
+        """Telemetry events recorded since the monitor armed."""
+        return self.telemetry.recorded - self._armed_at
+
+    def recording(self) -> List[TelemetryEvent]:
+        """The flight recorder: the last ``flight_recorder_events``
+        telemetry events recorded since the monitor armed, oldest first."""
+        return self.telemetry.tail(
+            self.config.flight_recorder_events, self._armed_at
+        )
+
     def report(self) -> str:
         """A human-readable summary of the monitor's findings."""
         if self.healthy:
             return (
                 f"health monitor: healthy (0 trips, "
-                f"{self.recorder.total_events} telemetry events observed)"
+                f"{self.observed} telemetry events observed)"
             )
         kinds = ", ".join(
             f"{kind} x{count}" for kind, count in sorted(self.trip_counts.items())
@@ -169,8 +183,6 @@ class HealthMonitor:
 
     def postmortem(self):
         """Capture the machine's wait-for state as a :class:`Postmortem`."""
-        from .postmortem import capture
-
         return capture(self.machine, monitor=self)
 
     # -- engine hooks (called from the run loop) -------------------------
@@ -221,8 +233,6 @@ class HealthMonitor:
                 fresh[key] = record
                 waited = now - record[1]
                 if waited >= cfg.stall_timeout_us:
-                    from .postmortem import describe_event
-
                     self._trip(
                         "process_stall",
                         proc.name,
@@ -354,7 +364,6 @@ class HealthMonitor:
 
     def note_rx_overflow(self, node_id: int, packet) -> None:
         """A fault-injected receive-FIFO overflow discarded ``packet``."""
-        self.rx_overflow_drops[node_id] = self.rx_overflow_drops.get(node_id, 0) + 1
         self._trip(
             "rx_overflow",
             f"rxfifo.n{node_id}",
@@ -459,14 +468,12 @@ class HealthMonitor:
             subject=subject,
             detail=detail,
             data=data,
-            recording=self.recorder.snapshot(),
+            recording=self.recording(),
         )
         self.trips.append(trip)
-        telemetry = self.machine.telemetry
-        if telemetry is not None:
-            telemetry.instant(
-                "monitor.trip", -1, "monitor", kind=kind, subject=subject
-            )
+        self.telemetry.instant(
+            "monitor.trip", -1, "monitor", kind=kind, subject=subject
+        )
         return trip
 
     def _unlatch(self, kind: str, subject: str) -> None:
@@ -474,7 +481,8 @@ class HealthMonitor:
 
     def __repr__(self) -> str:
         state = "healthy" if self.healthy else f"{len(self.trips)} trips"
-        return f"HealthMonitor({state}, {len(self.recorder)} events ringed)"
+        recorded = len(self.recording())
+        return f"HealthMonitor({state}, {recorded} events recorded)"
 
 
 def _render_down(down) -> str:

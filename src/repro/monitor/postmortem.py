@@ -20,9 +20,26 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .recorder import events_to_json
+from ..telemetry.events import TelemetryEvent
 
-__all__ = ["Postmortem", "capture", "describe_event"]
+__all__ = ["Postmortem", "capture", "describe_event", "events_to_json"]
+
+
+def events_to_json(events: List[TelemetryEvent]) -> List[dict]:
+    """JSON-serializable form of a telemetry event list (order preserved)."""
+    return [
+        {
+            "phase": e.phase,
+            "name": e.name,
+            "time": e.time,
+            "node": e.node,
+            "track": e.track,
+            "span_id": e.span_id,
+            "parent_id": e.parent_id,
+            "args": {k: repr(v) for k, v in e.args.items()},
+        }
+        for e in events
+    ]
 
 
 def _primitive_index() -> Dict[int, Tuple[str, Any]]:
@@ -255,8 +272,8 @@ def capture(machine, monitor=None) -> Postmortem:
                     break
 
     trips = list(monitor.trips) if monitor is not None else []
-    recording = monitor.recorder.snapshot() if monitor is not None else []
-    total = monitor.recorder.total_events if monitor is not None else 0
+    recording = monitor.recording() if monitor is not None else []
+    total = monitor.observed if monitor is not None else 0
     return Postmortem(
         time=sim.now,
         processes=processes,

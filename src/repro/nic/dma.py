@@ -103,11 +103,6 @@ class DeliberateUpdateEngine:
     def queue_depth(self) -> int:
         return self._slots.capacity
 
-    def page_pending(self, frame: int) -> bool:
-        """Associative-memory check: is this frame part of a pending
-        transfer?  (The OS must not replace such pages — section 4.5.3.)"""
-        return frame in self._pending_pages
-
     # -- initiation (called from the sending process) ---------------------
 
     def initiate(self, request: TransferRequest) -> Generator:

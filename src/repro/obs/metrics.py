@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -40,9 +40,9 @@ __all__ = [
     "DEFAULT_COUNTER_PROBES",
 ]
 
-#: Stat counters sampled by default when present on the machine.  Absent
-#: counters read 0 (StatsRegistry.counter_value), so arming obs never
-#: creates a counter a telemetry snapshot would then show.
+#: The stat counters every registry probes.  Absent counters read 0
+#: (StatsRegistry.counter_value), so arming obs never creates a counter a
+#: telemetry snapshot would then show.
 DEFAULT_COUNTER_PROBES: Tuple[str, ...] = (
     "net.packets",
     "net.bytes",
@@ -123,8 +123,6 @@ class ObsConfig:
     cap: int = 512
     #: Stream one JSON object per sample tick to this path (None: off).
     jsonl_path: Optional[str] = None
-    #: Stat counters to probe (missing ones read 0 without being created).
-    counters: Tuple[str, ...] = field(default=DEFAULT_COUNTER_PROBES)
 
     def __post_init__(self):
         if self.cadence_us <= 0:
@@ -230,7 +228,7 @@ class MetricsRegistry:
             "nic.out_fifo_max_bytes",
             lambda: float(max(node.nic.fifo.fill_bytes for node in nodes)),
         )
-        for counter_name in self.config.counters:
+        for counter_name in DEFAULT_COUNTER_PROBES:
             self.counter_probe(counter_name)
 
     def register_serve(self, cluster) -> None:

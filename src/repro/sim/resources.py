@@ -192,13 +192,6 @@ class Resource:
             self.busy_time += sim.now - self._busy_since
             self._busy_since = None
 
-    def _grant(self) -> None:
-        if self._in_use == 0:
-            self._busy_since = self.sim.now
-        self._in_use += 1
-        if self.sim.monitor is not None:
-            self._note_hold()
-
     # -- holder bookkeeping (health-monitor support) ---------------------
     # The holder list exists only so a postmortem wait-for graph can name
     # who blocks whom.  It is best-effort (a unit acquired before the

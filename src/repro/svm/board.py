@@ -57,9 +57,6 @@ class NoticeBoard:
     def latest(self, node: int) -> int:
         return len(self._logs[node])
 
-    def current_clock(self) -> VectorClock:
-        return [len(log) for log in self._logs]
-
     def records_since(self, clock: VectorClock) -> List[IntervalRecord]:
         """Every interval record not yet covered by ``clock``."""
         out: List[IntervalRecord] = []

@@ -3,11 +3,11 @@
 The profiling substrate of the reproduction (DESIGN.md section 9).  A
 :class:`Telemetry` collector installed on a machine records **causal
 spans** (begin/end events with parent links that follow one transfer
-app -> VMMC -> NIC -> backplane -> remote NIC -> delivery), **histograms**
-with tail percentiles, and per-resource **utilization timelines**, all
-against virtual time and at zero virtual-time cost.  Exporters render the
-stream as Chrome ``trace_event`` JSON (``chrome://tracing`` / Perfetto),
-JSONL, or ASCII summary tables.
+app -> VMMC -> NIC -> backplane -> remote NIC -> delivery) and
+per-resource **utilization timelines**, all against virtual time and at
+zero virtual-time cost.  The stream exports as Chrome ``trace_event`` JSON
+(``chrome://tracing`` / Perfetto); reports derive per-span latency
+histograms with tail percentiles and render them as ASCII tables.
 
 Quick start::
 
@@ -37,7 +37,7 @@ from .critpath import (
     operation_roots,
 )
 from .events import TelemetryEvent
-from .export import to_chrome_trace, to_jsonl, write_chrome_trace, write_jsonl
+from .export import to_chrome_trace, write_chrome_trace
 from .metrics import Histogram, TailHistogram, Timeline
 from .report import latency_breakdown, summarize, utilization_report
 
@@ -50,8 +50,6 @@ __all__ = [
     "Timeline",
     "to_chrome_trace",
     "write_chrome_trace",
-    "to_jsonl",
-    "write_jsonl",
     "latency_breakdown",
     "utilization_report",
     "summarize",

@@ -24,16 +24,14 @@ Causality is tracked two ways:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .events import PHASE_BEGIN, PHASE_END, PHASE_INSTANT, TelemetryEvent
-from .metrics import Histogram, Timeline
+from .metrics import Timeline
 
 __all__ = ["Telemetry", "Span"]
-
-#: Sink signature: called with every recorded event.
-Sink = Callable[[TelemetryEvent], None]
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class Span:
 
 
 class Telemetry:
-    """Collects spans, instants, histograms and timelines."""
+    """Collects spans, instants and timelines."""
 
     def __init__(
         self,
@@ -74,25 +72,16 @@ class Telemetry:
         #: The raw event stream, in emission order.
         self.events: List[TelemetryEvent] = []
         self.dropped = 0
+        # The newest events past ``limit`` (none until a reader asks for
+        # some with :meth:`keep_overflow`).
+        self._overflow: deque = deque(maxlen=0)
         self._ids = itertools.count(1)
         #: span_id -> (begin event, owning process or None).
         self._open: Dict[int, Tuple[TelemetryEvent, Any]] = {}
         self._completed: List[Span] = []
         self._by_id: Dict[int, Span] = {}
-        self._sinks: List[Sink] = []
         self._current_process = current_process
-        self.histograms: Dict[str, Histogram] = {}
         self.timelines: Dict[str, Timeline] = {}
-
-    # -- wiring ------------------------------------------------------------
-
-    def bind_process_source(self, current_process: Callable[[], Any]) -> None:
-        """Provide the "who is running right now" hook (set by the machine)."""
-        self._current_process = current_process
-
-    def add_sink(self, sink: Sink) -> None:
-        """Forward every future event to ``sink`` as well."""
-        self._sinks.append(sink)
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -122,7 +111,7 @@ class Telemetry:
         return span_id
 
     def end(self, span_id: int, **args: Any) -> Optional[Span]:
-        """Close an open span; duration feeds the span-name histogram."""
+        """Close an open span; returns it (None if it was not open)."""
         entry = self._open.pop(span_id, None)
         if entry is None:
             return None
@@ -151,7 +140,6 @@ class Telemetry:
         )
         self._completed.append(span)
         self._by_id[span_id] = span
-        self.histogram(begin.name).add(span.duration)
         return span
 
     def instant(
@@ -189,17 +177,11 @@ class Telemetry:
     def _record(self, event: TelemetryEvent) -> None:
         if len(self.events) >= self.limit:
             self.dropped += 1
+            self._overflow.append(event)
         else:
             self.events.append(event)
-        for sink in self._sinks:
-            sink(event)
 
     # -- metrics -----------------------------------------------------------
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        return self.histograms[name]
 
     def timeline(self, name: str, node: int = 0) -> Timeline:
         if name not in self.timelines:
@@ -207,6 +189,31 @@ class Telemetry:
         return self.timelines[name]
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def recorded(self) -> int:
+        """Events recorded so far, kept in :attr:`events` or dropped."""
+        return len(self.events) + self.dropped
+
+    def keep_overflow(self, n: int) -> None:
+        """Keep at least the newest ``n`` events past ``limit`` from now on."""
+        if n > self._overflow.maxlen:
+            self._overflow = deque(self._overflow, maxlen=n)
+
+    def tail(self, n: int, since: int = 0) -> List[TelemetryEvent]:
+        """The newest ``n`` events recorded at or after the ``since``-th.
+
+        Oldest first.  A window reaching past ``limit`` needs
+        :meth:`keep_overflow` of at least ``n`` before those events were
+        recorded.
+        """
+        recorded = self.recorded
+        start = max(since, recorded - n)
+        window = self.events[start:]
+        if self.dropped:
+            skip = max(start - (recorded - len(self._overflow)), 0)
+            window.extend(itertools.islice(self._overflow, skip, None))
+        return window
 
     def spans(self, name: Optional[str] = None) -> List[Span]:
         """Completed spans, oldest first; optionally filtered by name prefix."""

@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON and JSONL.
+"""The exporter: Chrome ``trace_event`` JSON.
 
 The Chrome format (loadable in ``chrome://tracing`` or Perfetto) maps the
 simulated machine onto the viewer's process/thread model: **pid = node id**,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .collector import Telemetry
 from .events import PHASE_BEGIN, PHASE_INSTANT
@@ -33,8 +33,6 @@ __all__ = [
     "COUNTER_TRACK",
     "to_chrome_trace",
     "write_chrome_trace",
-    "to_jsonl",
-    "write_jsonl",
     "ensure_parent_dir",
 ]
 
@@ -303,37 +301,4 @@ def write_chrome_trace(
     """Write the Chrome trace JSON to ``path``; returns the path."""
     with open(ensure_parent_dir(path), "w", encoding="utf-8") as fh:
         json.dump(to_chrome_trace(telemetry, label), fh)
-    return path
-
-
-def to_jsonl(telemetry: Telemetry) -> Iterator[str]:
-    """Yield one JSON document per raw event (then one per timeline)."""
-    for event in telemetry.events:
-        yield json.dumps(
-            {
-                "ph": event.phase,
-                "name": event.name,
-                "ts": event.time,
-                "node": event.node,
-                "track": event.track,
-                "span": event.span_id,
-                "parent": event.parent_id,
-                "args": _json_safe(event.args),
-            }
-        )
-    for timeline in telemetry.timelines.values():
-        yield json.dumps(
-            {
-                "ph": "timeline",
-                "name": timeline.name,
-                "node": timeline.node,
-                "points": [[t, v] for t, v in timeline.points],
-            }
-        )
-
-
-def write_jsonl(telemetry: Telemetry, path: str) -> str:
-    with open(ensure_parent_dir(path), "w", encoding="utf-8") as fh:
-        for line in to_jsonl(telemetry):
-            fh.write(line + "\n")
     return path

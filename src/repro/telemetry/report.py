@@ -6,9 +6,10 @@ tables use, so profiler output and paper tables share one look.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .collector import Telemetry
+from .metrics import Histogram
 
 __all__ = ["latency_breakdown", "utilization_report", "summarize"]
 
@@ -17,11 +18,15 @@ def latency_breakdown(telemetry: Telemetry) -> str:
     """Per-layer span latencies: count, mean and tail percentiles in us."""
     from ..study.report import format_table
 
+    hists: Dict[str, Histogram] = {}
+    for span in telemetry.spans():
+        hist = hists.get(span.name)
+        if hist is None:
+            hist = hists[span.name] = Histogram(span.name)
+        hist.add(span.duration)
     rows: List[list] = []
-    for name in sorted(telemetry.histograms):
-        hist = telemetry.histograms[name]
-        if hist.count == 0:
-            continue
+    for name in sorted(hists):
+        hist = hists[name]
         rows.append(
             [
                 name,

@@ -90,12 +90,6 @@ class ImportedBuffer:
     def remote_node(self) -> int:
         return self.remote.owner_node
 
-    def proxy_for_offset(self, offset: int) -> int:
-        """The proxy-entry id covering byte ``offset`` of the buffer."""
-        if not 0 <= offset < len(self.proxy_ids) * self.page_size:
-            raise ValueError(f"offset {offset} outside imported buffer")
-        return self.proxy_ids[offset // self.page_size]
-
     def __repr__(self) -> str:
         return (
             f"ImportedBuffer(node {self.importer_node} -> "

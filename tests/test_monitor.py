@@ -2,10 +2,10 @@
 
 Covers the watchdogs (stalls, livelock), the invariant monitors (FIFO and
 wait-queue watermarks, retransmit storms, overflow discards), the flight
-recorder, postmortem wait-for dumps with deadlock-cycle detection, the
-enriched deadlock error from ``run_process``, deterministic auto-naming of
-anonymous primitives, and the demo scenarios of the fleet ``monitor``
-workload.
+recorder (a view over the collector's own events), postmortem wait-for
+dumps with deadlock-cycle detection, the enriched deadlock error from
+``run_process``, deterministic auto-naming of anonymous primitives, and the
+demo scenarios of the fleet ``monitor`` workload.
 """
 
 import json
@@ -16,7 +16,7 @@ import pytest
 from repro import Machine
 from repro.faults import FaultConfig
 from repro.fleet.workloads import OUTAGE_AT_US, spawn_fan_in, spawn_outage
-from repro.monitor import HealthMonitor, MonitorConfig, capture
+from repro.monitor import HealthMonitor, MonitorConfig, capture, events_to_json
 from repro.sim import Queue, Resource, Signal, Simulator, SimulationError
 from repro.sim.resources import PRIMITIVES
 from repro.vmmc import DeliveryFailed, ReliableConfig, VMMCRuntime
@@ -109,7 +109,7 @@ def test_outage_postmortem_names_blocked_receiver_and_dead_link():
 
 def test_outage_flight_recorder_holds_trailing_retx_events():
     _machine, monitor = _run_outage()
-    names = [e.name for e in monitor.recorder.snapshot()]
+    names = [e.name for e in monitor.recording()]
     assert "vmmc.retx" in names
     assert "fault.outage_drop" in names
     # Every trip carries its own snapshot of the ring at trip time.
@@ -148,10 +148,7 @@ def test_fanin_overflow_trips_rx_overflow():
     trips = monitor.tripped("rx_overflow")
     assert len(trips) == 1  # latched: one trip per FIFO, drops keep counting
     assert trips[0].subject == "rxfifo.n0"
-    assert monitor.rx_overflow_drops[0] > 1
-    assert monitor.rx_overflow_drops[0] == machine.stats.counter_value(
-        "fault.rx_overflow_drops"
-    )
+    assert machine.stats.counter_value("fault.rx_overflow_drops") > 1
 
 
 def test_fanin_trips_rx_watermark_and_wait_queue_depth():
@@ -438,10 +435,57 @@ def test_flight_recorder_ring_is_bounded():
     machine, monitor = _run_clean_transfer(
         MonitorConfig(flight_recorder_events=16)
     )
-    assert monitor.recorder.total_events > 16
-    assert len(monitor.recorder) == 16
-    snapshot = monitor.recorder.snapshot()
-    assert snapshot == machine.telemetry.events[-16:]
+    assert monitor.observed > 16
+    recording = monitor.recording()
+    assert len(recording) == 16
+    assert recording == machine.telemetry.events[-16:]
+
+
+def _run_outage_armed_late(limit, armed_after, size):
+    """The outage run on a collector that keeps ``limit`` events, with
+    ``armed_after`` trace lines recorded before the monitor arms."""
+    machine = Machine(num_nodes=2, seed=42)
+    telemetry = machine.enable_telemetry(limit=limit)
+    for i in range(armed_after):
+        machine.stats.trace("pre", 0, str(i))
+    monitor = machine.enable_monitor(
+        MonitorConfig(
+            check_interval_us=100.0,
+            stall_timeout_us=2_000.0,
+            retx_window_us=5_000.0,
+            retx_storm_rounds=3,
+            flight_recorder_events=size,
+        )
+    )
+    spawn_outage(machine)
+    with pytest.raises(DeliveryFailed):
+        machine.sim.run()
+    return telemetry, monitor
+
+
+@pytest.mark.parametrize(
+    "limit,armed_after,size",
+    [(30, 12, 16), (30, 12, 40), (5, 12, 256)],
+    ids=["window-past-limit", "window-across-limit", "armed-past-limit"],
+)
+def test_flight_recorder_matches_an_unlimited_collector(limit, armed_after, size):
+    full, full_monitor = _run_outage_armed_late(1_000_000, armed_after, size)
+    bounded, monitor = _run_outage_armed_late(limit, armed_after, size)
+    assert full.dropped == 0 and bounded.dropped > 0
+    events = full.events
+    # Each trip copies the window just before its own ``monitor.trip``.
+    trip_at = [i for i, e in enumerate(events) if e.name == "monitor.trip"]
+    for observer in (full_monitor, monitor):
+        assert len(observer.trips) == len(trip_at) == 4
+        for trip, at in zip(observer.trips, trip_at):
+            assert events_to_json(trip.recording) == events_to_json(
+                events[armed_after:at][-size:]
+            )
+        postmortem = observer.postmortem()
+        assert postmortem.total_recorded == len(events) - armed_after
+        assert events_to_json(postmortem.recording) == events_to_json(
+            events[armed_after:][-size:]
+        )
 
 
 # -- monitor contract ------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.telemetry import (
     latency_breakdown,
     summarize,
     to_chrome_trace,
-    to_jsonl,
     utilization_report,
 )
 from repro.telemetry.export import SIM_PID
@@ -236,25 +235,13 @@ def test_chrome_trace_track_metadata_names_and_orders_lanes():
         assert process_orders[SIM_PID] > process_orders[1]
 
 
-def test_jsonl_export_one_document_per_line():
-    machine = _du_ping(Machine(num_nodes=2, telemetry=True))
-    lines = list(to_jsonl(machine.telemetry))
-    assert len(lines) >= len(machine.telemetry.events)
-    for line in lines:
-        doc = json.loads(line)
-        assert "ph" in doc and "name" in doc
-
-
 def test_exporters_create_parent_directories(tmp_path):
-    from repro.telemetry.export import write_chrome_trace, write_jsonl
+    from repro.telemetry.export import write_chrome_trace
 
     machine = _du_ping(Machine(num_nodes=2, telemetry=True))
     trace_path = tmp_path / "not" / "yet" / "there" / "ping.trace.json"
     write_chrome_trace(machine.telemetry, str(trace_path))
     assert json.loads(trace_path.read_text())["traceEvents"]
-    jsonl_path = tmp_path / "also" / "missing" / "ping.jsonl"
-    write_jsonl(machine.telemetry, str(jsonl_path))
-    assert jsonl_path.read_text().count("\n") >= 1
 
 
 def test_reports_render():
@@ -365,22 +352,47 @@ def test_timeline_rejects_backwards_time():
         raise AssertionError("backwards record must raise")
 
 
+def _breakdown_rows(telemetry):
+    """``latency_breakdown``'s table as {span name: [cells]}."""
+    lines = latency_breakdown(telemetry).splitlines()[4:]
+    return {
+        cells[0]: cells[1:]
+        for cells in ([c.strip() for c in line.split(" | ")] for line in lines)
+    }
+
+
 def test_span_durations_feed_histograms():
+    """The breakdown has one row per exact span name, over every span."""
     machine = _du_ping(Machine(num_nodes=2, telemetry=True))
     tel = machine.telemetry
-    hist = tel.histograms["nic.du"]
+    rows = _breakdown_rows(tel)
+    assert set(rows) == {span.name for span in tel.spans()}
     spans = tel.spans("nic.du")
-    assert hist.count == len(spans)
-    assert hist.max == max(span.duration for span in spans)
+    assert rows["nic.du"][0] == str(len(spans))
+    assert rows["nic.du"][-1] == f"{max(span.duration for span in spans):.2f}"
+    # ``spans(name)`` matches by prefix; the breakdown groups exact names.
+    from repro.telemetry import Telemetry
+
+    clock = [0.0]
+    tel = Telemetry(lambda: clock[0])
+    for name, start, end in [("a", 0.0, 1.0), ("a.b", 1.0, 11.0), ("a", 11.0, 14.0)]:
+        clock[0] = start
+        span_id = tel.begin(name, 0, "app")
+        clock[0] = end
+        tel.end(span_id)
+    rows = _breakdown_rows(tel)
+    assert len(tel.spans("a")) == 3
+    assert rows["a"] == ["2", "2.00", "1.00", "3.00", "3.00", "3.00"]
+    assert rows["a.b"] == ["1", "10.00", "10.00", "10.00", "10.00", "10.00"]
 
 
-def test_tracer_mirrors_telemetry_via_sink():
-    """A sink sees every record: spans and the trace-track instants."""
+def test_telemetry_events_hold_spans_and_trace_instants():
+    """The stream keeps every record: spans and the trace-track instants,
+    and a tail over it since the first event is the whole stream."""
     machine = Machine(num_nodes=2, telemetry=True)
-    seen = []
-    machine.telemetry.add_sink(seen.append)
     _du_ping(machine)
-    assert seen == machine.telemetry.events
+    seen = machine.telemetry.events
+    assert machine.telemetry.tail(len(seen)) == seen
     assert sum(e.name == "vmmc.send" for e in seen) >= 2  # begin + end
     assert sum(e.name == "nic.rx" for e in seen) >= 2
     assert any(e.name == "nic.rx" and e.track == "trace" for e in seen)
