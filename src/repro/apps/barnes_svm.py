@@ -52,15 +52,16 @@ class BarnesSVM(Application):
         self.theta = theta
         self.dt = dt
         self.protocol_name = protocol or ("aurc" if mode == "au" else "hlrc")
-        #: Extra protocol constructor kwargs (e.g. au_combine=True).
-        self.svm_kwargs = {}
+        #: Combining on the protocol's AU bindings (section 4.5.1 study).
+        self.au_combine = False
         self._bodies: List[Body] = []
         self._final: List[float] = []
 
     def workers(self, ctx: RunContext) -> List[Generator]:
         rng = ctx.rng.split("barnes")
         self._bodies = make_bodies(self.n_bodies, rng)
-        svm = make_protocol(self.protocol_name, ctx.vmmc, ctx.nprocs, **self.svm_kwargs)
+        svm = make_protocol(self.protocol_name, ctx.vmmc, ctx.nprocs,
+                            au_combine=self.au_combine)
         return [self._worker(ctx, svm, i) for i in range(ctx.nprocs)]
 
     def _worker(self, ctx: RunContext, svm, index: int) -> Generator:

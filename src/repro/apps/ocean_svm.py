@@ -37,15 +37,16 @@ class OceanSVM(Application):
         self.n = n
         self.sweeps = sweeps
         self.protocol_name = protocol or ("aurc" if mode == "au" else "hlrc")
-        #: Extra protocol constructor kwargs (e.g. au_combine=True).
-        self.svm_kwargs = {}
+        #: Combining on the protocol's AU bindings (section 4.5.1 study).
+        self.au_combine = False
         self._grid: List[List[float]] = []
         self._final: List[float] = []
 
     def workers(self, ctx: RunContext) -> List[Generator]:
         rng = ctx.rng.split("ocean")
         self._grid = make_grid(self.n, rng)
-        svm = make_protocol(self.protocol_name, ctx.vmmc, ctx.nprocs, **self.svm_kwargs)
+        svm = make_protocol(self.protocol_name, ctx.vmmc, ctx.nprocs,
+                            au_combine=self.au_combine)
         return [self._worker(ctx, svm, i) for i in range(ctx.nprocs)]
 
     def _worker(self, ctx: RunContext, svm, index: int) -> Generator:

@@ -42,8 +42,8 @@ class RadixSVM(Application):
         #: Figure 4 compares hlrc / hlrc-au / aurc explicitly; Figure 3 and
         #: the tables use mode: au -> aurc, du -> hlrc.
         self.protocol_name = protocol or ("aurc" if mode == "au" else "hlrc")
-        #: Extra protocol constructor kwargs (e.g. au_combine=True).
-        self.svm_kwargs = {}
+        #: Combining on the protocol's AU bindings (section 4.5.1 study).
+        self.au_combine = False
         self.passes = passes_needed(max_key, radix)
         self._keys: List[int] = []
         self._final: List[int] = []
@@ -51,7 +51,8 @@ class RadixSVM(Application):
     def workers(self, ctx: RunContext) -> List[Generator]:
         rng = ctx.rng.split("radix-svm")
         self._keys = make_keys(rng, self.n_keys, self.max_key)
-        svm = make_protocol(self.protocol_name, ctx.vmmc, ctx.nprocs, **self.svm_kwargs)
+        svm = make_protocol(self.protocol_name, ctx.vmmc, ctx.nprocs,
+                            au_combine=self.au_combine)
         return [self._worker(ctx, svm, i) for i in range(ctx.nprocs)]
 
     def _worker(self, ctx: RunContext, svm: SVMProtocol, index: int) -> Generator:

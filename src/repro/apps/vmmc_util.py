@@ -13,22 +13,24 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, List
 
+from ..sim.ids import RunScopedCounter
 from ..vmmc import ImportedBuffer, ReceiveBuffer, VMMCEndpoint
 
 __all__ = ["VMMCGroup"]
 
 _SLOT = struct.Struct("<q")
 
+#: Group tags start at 1 and are run-scoped (they name exported buffers,
+#: whose arrival signals reach postmortems and stall trips).
+_group_tags = RunScopedCounter(1)
+
 
 class VMMCGroup:
     """Barrier support for one group of native-VMMC workers."""
 
-    _tags = 0
-
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        VMMCGroup._tags += 1
-        self.tag = VMMCGroup._tags
+        self.tag = next(_group_tags)
 
     def join(self, index: int, endpoint: VMMCEndpoint) -> Generator:
         member = _GroupMember(self, index, endpoint)

@@ -39,6 +39,9 @@ __all__ = ["Fate", "FaultConfig", "FaultPlan"]
 #: Scale factor turning a 64-bit hash into a uniform variate in [0, 1).
 _U64 = float(2**64)
 
+#: Duration of each node stall window.
+STALL_WINDOW_US = 100.0
+
 
 class Fate(enum.Enum):
     """What the fabric does to one packet."""
@@ -66,10 +69,8 @@ class FaultConfig:
     #: Duration of each link outage.
     outage_duration_us: float = 200.0
     #: Number of node stall windows (a stalled node's receive engine
-    #: freezes for the window, as under an OS-level hiccup).
+    #: freezes for :data:`STALL_WINDOW_US`, as under an OS-level hiccup).
     node_stalls: int = 0
-    #: Duration of each stall window.
-    stall_duration_us: float = 100.0
     #: Time span over which scheduled events are placed.
     horizon_us: float = 100_000.0
     #: When True, a full receive FIFO discards arriving packets instead of
@@ -152,7 +153,7 @@ class FaultPlan:
                 node = rng.randrange(topology.num_nodes)
                 start = rng.uniform(0.0, cfg.horizon_us)
                 self.stalls.setdefault(node, []).append(
-                    (start, start + cfg.stall_duration_us)
+                    (start, start + STALL_WINDOW_US)
                 )
             for windows in self.stalls.values():
                 windows.sort()

@@ -25,8 +25,7 @@ is a **matrix** document — the cross product of axis lists::
     }
 
 ``load_catalog`` accepts a path to such a JSON document or the name of a
-built-in matrix (``smoke``, ``coll16``, ``scaling``, ``largemesh``,
-``demos``).
+built-in matrix (``smoke``, ``demos``, ``largemesh``).
 """
 
 from __future__ import annotations
@@ -259,26 +258,6 @@ BUILTIN_MATRICES: Dict[str, Dict] = {
             "workload": ["coll"],
             "params": [{"mode": "nx"}, {"mode": "tree-nic"}],
             "nodes": [8, 16],
-        },
-    },
-    # All three collective placements at the paper scale.
-    "coll16": {
-        "name": "coll16",
-        "matrix": {
-            "workload": ["coll"],
-            "params": [
-                {"mode": "nx"}, {"mode": "tree-host"}, {"mode": "tree-nic"},
-            ],
-            "nodes": [16],
-        },
-    },
-    # A scale trend for the explorer: NIC trees from 4 to 32 nodes.
-    "scaling": {
-        "name": "scaling",
-        "matrix": {
-            "workload": ["coll"],
-            "params": [{"mode": "tree-nic"}],
-            "nodes": [4, 8, 16, 32],
         },
     },
     # The demo runs, read back with `explore drill|show`: DU and reliable

@@ -719,12 +719,9 @@ def _run_app(spec) -> FleetResult:
             )
         app.protocol_name = str(spec.param("protocol"))
     if spec.param("combine", False):
-        if hasattr(app, "svm_kwargs"):
-            app.svm_kwargs = {"au_combine": True}
-        elif hasattr(app, "au_combine"):
-            app.au_combine = True
-        else:
+        if not hasattr(app, "au_combine"):
             raise ValueError(f"{suite_app.name} has no AU combining knob")
+        app.au_combine = True
     experiment = config(str(spec.param("config", "baseline")))
     observe = bool(spec.param("observe", True))
     machine = _machine(spec, spec.nodes, experiment.params(suite_app.params),

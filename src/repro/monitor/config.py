@@ -1,10 +1,11 @@
 """Tuning knobs for the health monitor.
 
 Thresholds are expressed in the same units the monitored quantities use:
-virtual microseconds for time, bytes for FIFO fills, fractions for
-watermarks and utilization.  Defaults are deliberately conservative — a
-clean run of any workload in the repository trips nothing — and every demo
-or test that wants a twitchier monitor passes its own config.
+virtual microseconds for time, event and round counts, waiter depths.
+Defaults are deliberately conservative — a clean run of any workload in the
+repository trips nothing — and every demo or test that wants a twitchier
+monitor passes its own config.  The FIFO fill watermarks and the link
+saturation rule are constants of :mod:`repro.monitor.health`.
 """
 
 from __future__ import annotations
@@ -27,21 +28,12 @@ class MonitorConfig:
     #: Scheduler dispatches at a single instant of virtual time before a
     #: ``livelock`` trips (the clock is stuck while events churn).
     livelock_events: int = 1_000_000
-    #: Outgoing-FIFO fill fraction that trips ``fifo_watermark``.
-    fifo_watermark: float = 0.95
-    #: Receive-FIFO fill fraction that trips ``rx_watermark``.
-    rx_watermark: float = 0.95
     #: Resource/queue waiter depth that trips ``wait_queue_depth``.
     wait_queue_watermark: int = 64
     #: Window over which reliable-channel retransmit rounds are counted.
     retx_window_us: float = 2_000.0
     #: Retransmit rounds within the window that trip ``retx_storm``.
     retx_storm_rounds: int = 4
-    #: Utilization at or above which a link counts as saturated for one
-    #: check interval.
-    link_saturation: float = 0.999
-    #: Consecutive saturated intervals before ``link_saturated`` trips.
-    link_saturation_windows: int = 8
     #: Trailing telemetry events the flight recorder shows.
     flight_recorder_events: int = 256
     #: Hard cap on recorded trips (later trips are counted, not stored).
@@ -54,18 +46,12 @@ class MonitorConfig:
             raise ValueError("stall_timeout_us must be positive")
         if self.livelock_events < 1:
             raise ValueError("livelock_events must be >= 1")
-        for name in ("fifo_watermark", "rx_watermark", "link_saturation"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {value}")
         if self.wait_queue_watermark < 1:
             raise ValueError("wait_queue_watermark must be >= 1")
         if self.retx_window_us <= 0:
             raise ValueError("retx_window_us must be positive")
         if self.retx_storm_rounds < 1:
             raise ValueError("retx_storm_rounds must be >= 1")
-        if self.link_saturation_windows < 1:
-            raise ValueError("link_saturation_windows must be >= 1")
         if self.flight_recorder_events < 1:
             raise ValueError("flight_recorder_events must be >= 1")
         if self.max_trips < 1:

@@ -20,9 +20,10 @@ Detectors, and where their observations come from:
   scheduler dispatches at a single instant; a storm spinning through the
   immediate queue without advancing the clock trips ``livelock``.
 * **FIFO watermarks** — the outgoing FIFO reports its fill synchronously
-  on every ``put`` (``fifo_watermark``); receive-FIFO fills are sampled
-  each check interval (``rx_watermark``), and a fault-injected
-  overflow discard trips ``rx_overflow`` immediately.
+  on every ``put``; a fill of :data:`FIFO_HIGH_WATER` of its capacity
+  trips ``fifo_watermark``.  Receive-FIFO fills are sampled each check
+  interval against :data:`RX_HIGH_WATER` (``rx_watermark``), and a
+  fault-injected overflow discard trips ``rx_overflow`` immediately.
 * **wait-queue depth** — every named Resource/Queue/Signal of the run
   (the :data:`repro.sim.resources.PRIMITIVES` registry) is sampled for
   waiter depth (``wait_queue_depth``), the many-to-one contention
@@ -33,8 +34,8 @@ Detectors, and where their observations come from:
   ``delivery_failed`` — both annotated with any injected link outage
   covering the storm, so the report names the dead link.
 * **link saturation** — per-link busy time is differenced each check
-  interval; ``link_saturation_windows`` consecutive saturated intervals
-  trip ``link_saturated``.
+  interval; :data:`SATURATED_WINDOWS` consecutive intervals busy at least
+  :data:`SATURATED_UTILIZATION` of the time trip ``link_saturated``.
 
 Each trip copies the flight recorder — the last
 ``flight_recorder_events`` telemetry events recorded since the monitor
@@ -55,6 +56,16 @@ from .config import MonitorConfig
 from .postmortem import capture, describe_event, events_to_json
 
 __all__ = ["HealthMonitor", "Trip"]
+
+#: Fill fractions of the outgoing and the receive FIFO that trip
+#: ``fifo_watermark`` and ``rx_watermark``.
+FIFO_HIGH_WATER = 0.95
+RX_HIGH_WATER = 0.95
+#: Utilization at or above which a link counts as saturated for one check
+#: interval, and the consecutive saturated intervals that trip
+#: ``link_saturated``.
+SATURATED_UTILIZATION = 0.999
+SATURATED_WINDOWS = 8
 
 
 @dataclass
@@ -246,7 +257,6 @@ class HealthMonitor:
         self._stall_state = fresh
 
     def _scan_fifos(self, now: float) -> None:
-        cfg = self.config
         rx_capacity = max(self.machine.params.rx_fifo_bytes, 1)
         for node in self.machine.nodes:
             nic = node.nic
@@ -255,7 +265,7 @@ class HealthMonitor:
                 "fifo_watermark",
                 fifo.name,
                 fifo.fill_bytes / fifo.capacity,
-                cfg.fifo_watermark,
+                FIFO_HIGH_WATER,
                 f"outgoing FIFO at {fifo.fill_bytes}/{fifo.capacity} bytes",
                 node=node.node_id,
                 fill=fifo.fill_bytes,
@@ -265,7 +275,7 @@ class HealthMonitor:
                 "rx_watermark",
                 f"rxfifo.n{node.node_id}",
                 nic._rx_fill / rx_capacity,
-                cfg.rx_watermark,
+                RX_HIGH_WATER,
                 f"receive FIFO at {nic._rx_fill}/{rx_capacity} bytes",
                 node=node.node_id,
                 fill=nic._rx_fill,
@@ -303,7 +313,6 @@ class HealthMonitor:
         interval = now - self._last_scan
         if interval <= 0:
             return
-        cfg = self.config
         for link_id, link in self.machine.backplane._links.items():
             busy = link.busy_time
             if link._busy_since is not None:
@@ -311,10 +320,10 @@ class HealthMonitor:
             previous = self._link_busy.get(link_id, 0.0)
             self._link_busy[link_id] = busy
             utilization = (busy - previous) / interval
-            if utilization >= cfg.link_saturation:
+            if utilization >= SATURATED_UTILIZATION:
                 hot = self._link_hot.get(link_id, 0) + 1
                 self._link_hot[link_id] = hot
-                if hot >= cfg.link_saturation_windows:
+                if hot >= SATURATED_WINDOWS:
                     self._trip(
                         "link_saturated",
                         link.name,
@@ -355,7 +364,7 @@ class HealthMonitor:
             "fifo_watermark",
             fifo.name,
             fill / fifo.capacity,
-            self.config.fifo_watermark,
+            FIFO_HIGH_WATER,
             f"outgoing FIFO at {fill}/{fifo.capacity} bytes",
             node=fifo.node,
             fill=fill,

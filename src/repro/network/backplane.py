@@ -165,68 +165,52 @@ class Backplane:
             # Loopback never touches the backplane; charge a nominal
             # NIC-internal turnaround.
             yield self.params.router_hop_us
-            yield from self._deliver(packet)
+            handler, try_admit = self._receiver(packet.dst)
+            if not try_admit(packet):
+                yield from handler(packet)
+            self._count_delivered(packet)
             if tel is not None:
                 tel.end(span, hops=0)
             return
 
         path, links, ejection, base_latency = self._route_for(packet.src, packet.dst)
-        if tel is None:
-            # Hot path: no per-link timeline bookkeeping when telemetry is
-            # off — acquisition order and timing are identical either way,
-            # the held set is tracked by count instead of a list, and
-            # ``_deliver`` is inlined (one generator frame fewer per packet).
-            acquired = 0
-            ejection_held = False
-            try:
-                for link in links:
-                    if not link.try_acquire():
-                        yield from link._acquire_wait()
-                    acquired += 1
-                if not ejection.try_acquire():
-                    yield from ejection._acquire_wait()
-                ejection_held = True
-                yield base_latency + packet.size / self._link_bandwidth
-                if self.fault_plan is not None and self._faulted(packet, path):
-                    return  # the worm vanished; held links release below
-                handler, try_admit = self._receiver(packet.dst)
-                if not try_admit(packet):
-                    yield from handler(packet)
-                self._count_delivered(packet)
-            finally:
-                if ejection_held:
-                    for link in links:
-                        link.release()
-                    ejection.release()
-                else:
-                    for index in range(acquired):
-                        links[index].release()
-            return
-
-        held: List[Resource] = []
-        held_links: List[LinkId] = []
+        # The held set is tracked by count: ``links[:acquired]``, then the
+        # ejection channel.  An uncontended acquire is one plain call.
+        acquired = 0
+        ejection_held = False
         try:
-            for index, link in enumerate(links):
-                yield from link.acquire()
-                held.append(link)
-                link_id = path[index]
-                held_links.append(link_id)
-                self._link_timeline(tel, link_id).record(self.sim.now, 1)
-            yield from ejection.acquire()
-            held.append(ejection)
-
-            latency = base_latency + packet.size / self._link_bandwidth
-            yield latency
+            for link in links:
+                if not link.try_acquire():
+                    yield from link._acquire_wait()
+                if tel is not None:
+                    self._link_timeline(tel, path[acquired]).record(self.sim.now, 1)
+                acquired += 1
+            if not ejection.try_acquire():
+                yield from ejection._acquire_wait()
+            ejection_held = True
+            yield base_latency + packet.size / self._link_bandwidth
             if self.fault_plan is not None and self._faulted(packet, path):
                 return  # the worm vanished; held links release below
-            yield from self._deliver(packet)
+            # The admit handler blocks while the NIC's incoming FIFO is
+            # full; the worm still holds its path, which is what
+            # propagates backpressure into the mesh.
+            handler, try_admit = self._receiver(packet.dst)
+            if not try_admit(packet):
+                yield from handler(packet)
+            self._count_delivered(packet)
         finally:
-            for link in held:
-                link.release()
-            now = self.sim.now
-            for link_id in held_links:
-                self._link_timeline(tel, link_id).record(now, 0)
-            tel.end(span, hops=len(path))
+            if ejection_held:
+                for link in links:
+                    link.release()
+                ejection.release()
+            else:
+                for index in range(acquired):
+                    links[index].release()
+            if tel is not None:
+                now = self.sim.now
+                for index in range(acquired):
+                    self._link_timeline(tel, path[index]).record(now, 0)
+                tel.end(span, hops=len(path))
 
     def _faulted(self, packet: Packet, path) -> bool:
         """Apply the installed fault plan to one transiting packet.
@@ -263,18 +247,6 @@ class Backplane:
             return self.params.router_hop_us
         hops = self.topology.hop_count(src, dst)
         return hops * self.params.router_hop_us + size / self.params.link_bandwidth
-
-    def _deliver(self, packet: Packet) -> Generator:
-        """Hand the packet to the destination NIC's admission.
-
-        The admit handler is a generator: it blocks while the NIC's
-        incoming FIFO is full, which (because the caller still holds the
-        worm's path) is what propagates backpressure into the mesh.
-        """
-        handler, try_admit = self._receiver(packet.dst)
-        if not try_admit(packet):
-            yield from handler(packet)
-        self._count_delivered(packet)
 
     def _receiver(self, node: int) -> Tuple[Callable, Callable]:
         receiver = self._receivers[node]

@@ -7,8 +7,9 @@ substrate, what tail latency and goodput does a sharded key-value tier
 deliver under realistic open-loop load, and how does it degrade when the
 fabric misbehaves?
 
-* :mod:`~repro.serve.config` — scenario description (layout, traffic mix,
-  service-time model, SLO deadline).
+* :mod:`~repro.serve.config` — scenario description (layout, balancer,
+  offered load, SLO deadline) and the fixed request mix with its
+  service-time models.
 * :mod:`~repro.serve.traffic` — open-loop arrival processes (Poisson,
   bursty MMPP, diurnal) and Zipf key popularity; millions of clients are
   simulated as a handful of batched aggregates.
@@ -35,7 +36,7 @@ from .balance import (
 )
 from .chaos import CHAOS_KINDS, ChaosScenario, make_chaos
 from .cluster import Request, ServeCluster
-from .config import DEFAULT_CLASSES, RequestClass, ServeConfig, ServiceModel
+from .config import REQUEST_CLASSES, RequestClass, ServeConfig, ServiceModel
 from .slo import ClassStats, ShardStats, SloReport, SloTracker
 from .traffic import (
     ARRIVAL_KINDS,
@@ -55,12 +56,12 @@ __all__ = [
     "Balancer",
     "ChaosScenario",
     "ClassStats",
-    "DEFAULT_CLASSES",
     "DiurnalArrivals",
     "HashBalancer",
     "MMPPArrivals",
     "PoissonArrivals",
     "PowerOfTwoBalancer",
+    "REQUEST_CLASSES",
     "Request",
     "RequestClass",
     "RoundRobinBalancer",

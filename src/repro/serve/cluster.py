@@ -4,15 +4,17 @@ One :class:`ServeCluster` stands up a complete serving tier on a
 :class:`~repro.node.Machine` mesh:
 
 * **Shard servers** on nodes ``0..num_shards-1``.  Each shard owns a request
-  queue and ``workers_per_shard`` worker processes that dequeue, charge the
+  queue and :data:`SHARD_WORKERS` worker processes that dequeue, charge the
   service-time model against the node's CPU, and hand the response to a
   transmit lane.
 * **Client aggregates** on the remaining nodes.  Each aggregate runs one
-  open-loop generator standing in for ``clients_per_aggregate`` clients:
-  it draws arrivals, keys and classes from its own named RNG streams,
-  routes each request through the configured balancer, and never waits for
-  the system — when the tier falls behind, queues grow, exactly as in a
-  real open-loop datacenter workload.
+  open-loop generator standing in for
+  :data:`~repro.serve.config.AGGREGATE_CLIENTS` clients: it draws
+  arrivals, Zipf(:data:`ZIPF_EXPONENT`) keys over :data:`NUM_KEYS` and
+  request classes from its own named RNG streams, routes each request
+  through the configured balancer, and never waits for the system — when
+  the tier falls behind, queues grow, exactly as in a real open-loop
+  datacenter workload.
 
 All request and response payloads travel as VMMC reliable-delivery sends
 over imported buffers, so the serving tier inherits the transport's real
@@ -22,10 +24,11 @@ and :class:`~repro.vmmc.errors.DeliveryFailed` when a link stays dead.
 **Lanes.**  Concurrent ``send`` calls on one
 :class:`~repro.vmmc.reliable.ReliableChannel` are unsafe (sequence specs are
 computed before the sends yield), so every channel is driven by exactly one
-**lane process**.  Each (aggregate, shard) direction gets ``lanes`` parallel
-channels, each with its own lane process and its own slot in the remote
-buffer; lanes compete on the pair's queue, so a slow retransmitting lane
-does not head-of-line-block its siblings.
+**lane process**.  Each (aggregate, shard) direction gets
+:data:`LANES_PER_DIRECTION` parallel channels, each with its own lane
+process and its own slot in the remote buffer; lanes compete on the pair's
+queue, so a slow retransmitting lane does not head-of-line-block its
+siblings.
 
 **Failure containment.**  A lane that sees ``DeliveryFailed`` trips the
 pair's circuit breaker: the failed request is scored against the SLO, and
@@ -47,11 +50,20 @@ from typing import Dict, List, Optional, Tuple
 from ..sim import Timeout
 from ..vmmc import DeliveryFailed, ReliableConfig, VMMCRuntime
 from .balance import make_balancer
-from .config import ServeConfig
+from .config import REQUEST_CLASSES, ServeConfig
 from .slo import ShardStats, SloReport, SloTracker
 from .traffic import WeightedChoice, ZipfKeys, make_arrivals
 
 __all__ = ["Request", "ServeCluster"]
+
+#: Keys span [0, NUM_KEYS); popularity is Zipf(ZIPF_EXPONENT) over ranks
+#: (0 would be uniform, ~1 is the classic hot-key skew).
+NUM_KEYS = 4096
+ZIPF_EXPONENT = 1.1
+#: Parallel reliable-channel lanes per (aggregate, shard) direction.
+LANES_PER_DIRECTION = 2
+#: Service processes per shard (they share the shard node's CPU).
+SHARD_WORKERS = 2
 
 
 class Request:
@@ -71,7 +83,8 @@ class Request:
 
 class _Pair:
     """One direction of one (aggregate, shard) route: a queue feeding
-    ``lanes`` reliable channels, plus the shared circuit breaker."""
+    :data:`LANES_PER_DIRECTION` reliable channels, plus the shared circuit
+    breaker."""
 
     __slots__ = ("queue", "failed", "channels")
 
@@ -128,7 +141,7 @@ class ServeCluster:
         self.machine = machine
         self.sim = machine.sim
         self.runtime = VMMCRuntime(machine)
-        self.tracker = SloTracker([c.name for c in config.classes])
+        self.tracker = SloTracker([c.name for c in REQUEST_CLASSES])
         #: Outstanding requests per shard — the balancer's load signal.
         self.loads: List[int] = [0] * config.num_shards
         self.shard_stats: List[ShardStats] = [
@@ -141,8 +154,8 @@ class ServeCluster:
             [] for _ in range(config.num_aggregates)
         ]
         #: Largest payload slot each direction must hold.
-        self.req_slot = max(c.request_bytes for c in config.classes)
-        self.resp_slot = max(c.response_bytes for c in config.classes)
+        self.req_slot = max(c.request_bytes for c in REQUEST_CLASSES)
+        self.resp_slot = max(c.response_bytes for c in REQUEST_CLASSES)
         self._rel_config = ReliableConfig(
             timeout_us=config.retx_timeout_us,
             max_retries=config.retx_max_retries,
@@ -209,12 +222,13 @@ class ServeCluster:
         # deadlock on the export directory.
         for a in range(cfg.num_aggregates):
             yield from ep.export(
-                self.req_slot * cfg.lanes, name=f"serve.req.{s}.{a}"
+                self.req_slot * LANES_PER_DIRECTION,
+                name=f"serve.req.{s}.{a}",
             )
         for a in range(cfg.num_aggregates):
             imported = yield from ep.import_buffer(f"serve.resp.{a}.{s}")
             pair = self.resp_pairs[(a, s)]
-            for lane in range(cfg.lanes):
+            for lane in range(LANES_PER_DIRECTION):
                 channel = ep.open_reliable(imported, self._rel_config)
                 src = ep.alloc(self.resp_slot)
                 ep.poke(src, bytes(self.resp_slot))
@@ -227,12 +241,13 @@ class ServeCluster:
         ep = self._agg_eps[a]
         for s in range(cfg.num_shards):
             yield from ep.export(
-                self.resp_slot * cfg.lanes, name=f"serve.resp.{a}.{s}"
+                self.resp_slot * LANES_PER_DIRECTION,
+                name=f"serve.resp.{a}.{s}",
             )
         for s in range(cfg.num_shards):
             imported = yield from ep.import_buffer(f"serve.req.{s}.{a}")
             pair = self.req_pairs[(a, s)]
-            for lane in range(cfg.lanes):
+            for lane in range(LANES_PER_DIRECTION):
                 channel = ep.open_reliable(imported, self._rel_config)
                 src = ep.alloc(self.req_slot)
                 ep.poke(src, bytes(self.req_slot))
@@ -270,7 +285,7 @@ class ServeCluster:
                 arrivals=cfg.arrivals,
             )
         for s, shard in enumerate(self._shards):
-            for w in range(cfg.workers_per_shard):
+            for w in range(SHARD_WORKERS):
                 self.sim.spawn(
                     self._worker(shard, w), f"serve.worker.{s}.{w}", daemon=True
                 )
@@ -314,12 +329,12 @@ class ServeCluster:
             cfg.rate_per_us / cfg.num_aggregates,
         )
         keys = ZipfKeys(
-            machine.stream("serve", "keys", a), cfg.key_space, cfg.zipf_s
+            machine.stream("serve", "keys", a), NUM_KEYS, ZIPF_EXPONENT
         )
         classes = WeightedChoice(
             machine.stream("serve", "classes", a),
-            cfg.classes,
-            [c.weight for c in cfg.classes],
+            REQUEST_CLASSES,
+            [c.weight for c in REQUEST_CLASSES],
         )
         route_rng = machine.stream("serve", "balance", a)
         schedule = self.arrival_schedule[a]
@@ -475,9 +490,7 @@ class ServeCluster:
             duration_us=cfg.duration_us,
             slo_timeout_us=cfg.slo_timeout_us,
             drained_us=self.drained_us,
-            classes=[
-                self.tracker.by_class[c.name] for c in cfg.classes
-            ],
+            classes=[self.tracker.by_class[c.name] for c in REQUEST_CLASSES],
             overall=self.tracker.overall,
             shards=self.shard_stats,
         )

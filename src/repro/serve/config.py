@@ -1,13 +1,15 @@
 """Configuration of the serving tier.
 
-A :class:`ServeConfig` describes one serving scenario end to end: the shard
-and client-aggregate layout on the mesh, the open-loop arrival process and
-its offered load, the key popularity skew, the request classes (a read-heavy
-mix by default), the per-shard service-time model, and the SLO deadline the
-report scores against.
+A :class:`ServeConfig` describes what varies between serving scenarios: the
+shard and client-aggregate layout on the mesh, the balancer, the open-loop
+arrival process and its offered load, the SLO deadline the report scores
+against, and the reliable transport's retry knobs.  The request mix
+(:data:`REQUEST_CLASSES`, read-heavy) and its per-class service-time model
+are fixed, as are the key popularity skew, the transmit lanes and the shard
+worker pool (constants in :mod:`repro.serve.cluster`).
 
 The client population is modeled as **aggregates**: one arrival process per
-aggregate stands in for ``clients_per_aggregate`` real clients, so "millions
+aggregate stands in for :data:`AGGREGATE_CLIENTS` real clients, so "millions
 of users" costs a handful of simulation processes.  This is the standard
 open-loop datacenter abstraction — each individual client contributes a
 vanishing fraction of the load, so the superposition of their independent
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-__all__ = ["ServiceModel", "RequestClass", "ServeConfig", "DEFAULT_CLASSES"]
+__all__ = ["ServiceModel", "RequestClass", "ServeConfig", "REQUEST_CLASSES"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class RequestClass:
 
 #: Read-heavy key-value mix: small gets with 1 KB responses, larger puts
 #: with tiny acks and a costlier (write-path) service model.
-DEFAULT_CLASSES: Tuple[RequestClass, ...] = (
+REQUEST_CLASSES: Tuple[RequestClass, ...] = (
     RequestClass("get", weight=0.8, request_bytes=128, response_bytes=1024),
     RequestClass(
         "put",
@@ -87,6 +89,9 @@ DEFAULT_CLASSES: Tuple[RequestClass, ...] = (
     ),
 )
 
+#: Real clients each aggregate stands in for (reporting only).
+AGGREGATE_CLIENTS = 250_000
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -96,8 +101,6 @@ class ServeConfig:
     num_shards: int = 4
     #: Client aggregates, one per mesh node after the shards.
     num_aggregates: int = 4
-    #: Real clients each aggregate stands in for (reporting only).
-    clients_per_aggregate: int = 250_000
     #: Routing policy: "hash", "p2c" or "rr" (see repro.serve.balance).
     balancer: str = "hash"
     #: Arrival process: "poisson", "mmpp" or "diurnal" (repro.serve.traffic).
@@ -106,24 +109,8 @@ class ServeConfig:
     offered_rps: float = 60_000.0
     #: Open-loop generation window, microseconds of virtual time.
     duration_us: float = 20_000.0
-    #: Keys span [0, key_space); popularity is Zipf(zipf_s) over ranks.
-    key_space: int = 4096
-    #: Zipf skew exponent (0 = uniform, ~1 = classic hot-key skew).
-    zipf_s: float = 1.1
     #: SLO deadline: completions slower than this count as late, not good.
     slo_timeout_us: float = 1_500.0
-    #: Parallel reliable-channel lanes per (aggregate, shard) direction.
-    lanes: int = 2
-    #: Service processes per shard (share the shard node's CPU).
-    workers_per_shard: int = 2
-    #: MMPP burst shape: high-state rate multiplier and mean dwell time.
-    burst_mult: float = 4.0
-    burst_dwell_us: float = 1_500.0
-    #: Diurnal modulation: relative amplitude and period.
-    diurnal_amp: float = 0.8
-    diurnal_period_us: float = 10_000.0
-    #: Traffic mix.
-    classes: Tuple[RequestClass, ...] = DEFAULT_CLASSES
     #: Reliable-transport knobs (base retransmission timeout, retry budget).
     retx_timeout_us: float = 300.0
     retx_max_retries: int = 6
@@ -133,14 +120,6 @@ class ServeConfig:
             raise ValueError("need at least one shard and one aggregate")
         if self.offered_rps <= 0 or self.duration_us <= 0:
             raise ValueError("offered_rps and duration_us must be positive")
-        if self.key_space < 1:
-            raise ValueError("key_space must be positive")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be non-negative")
-        if self.lanes < 1 or self.workers_per_shard < 1:
-            raise ValueError("lanes and workers_per_shard must be >= 1")
-        if not self.classes:
-            raise ValueError("need at least one request class")
         if self.slo_timeout_us <= 0:
             raise ValueError("slo_timeout_us must be positive")
 
@@ -156,7 +135,7 @@ class ServeConfig:
 
     @property
     def total_clients(self) -> int:
-        return self.clients_per_aggregate * self.num_aggregates
+        return AGGREGATE_CLIENTS * self.num_aggregates
 
     def shard_node(self, shard: int) -> int:
         return shard

@@ -7,6 +7,12 @@ home-side apply.  At release time the writer only has to make sure its AU
 traffic has reached the homes (an ordering fence), publish write notices,
 and move on.  Figure 4 (left) shows this eliminating HLRC's diff overhead,
 especially under write-write false sharing.
+
+The AU bindings combine stores only when the protocol is built with
+``au_combine=True``, an :class:`~repro.svm.protocol.SVMProtocol` argument
+every AU protocol shares (off by default: the paper found combining buys
+<1% for AURC's sparse writes, section 4.5.1).  A protocol without AU
+bindings rejects it.
 """
 
 from __future__ import annotations
@@ -77,13 +83,6 @@ class AURCNode(AUBindingMixin, SVMNode):
 class AURCProtocol(SVMProtocol):
     name = "aurc"
     uses_au_bindings = True
-
-    def __init__(self, runtime, nprocs, ring_bytes: int = 32 * 1024,
-                 au_combine: bool = False):
-        super().__init__(runtime, nprocs, ring_bytes)
-        #: Combining for the AU bindings (off by default — the paper found
-        #: it buys <1% for AURC's sparse writes, section 4.5.1).
-        self.au_combine = au_combine
 
     def make_node(self, index, endpoint) -> AURCNode:
         return AURCNode(self, index, endpoint)

@@ -187,8 +187,7 @@ class EagerProtocol(SVMProtocol):
 
     def __init__(self, runtime, nprocs, ring_bytes: int = 32 * 1024,
                  au_combine: bool = False):
-        super().__init__(runtime, nprocs, ring_bytes)
-        self.au_combine = au_combine
+        super().__init__(runtime, nprocs, ring_bytes, au_combine)
         #: Home-side ownership bookkeeping (touched by home daemons only).
         self.owners: Dict[int, int] = {}
         self.copysets: Dict[int, Set[int]] = {}

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..msg.channel import RingReceiver, RingSender
+from ..sim.ids import RunScopedCounter
 from ..vmmc import VMMCEndpoint, VMMCRuntime
 
 __all__ = ["SVMFabric", "SVMLink"]
@@ -23,18 +24,19 @@ __all__ = ["SVMFabric", "SVMLink"]
 #: request handler: (src_index, record_type, payload) -> optional generator
 RequestHandler = Callable[[int, int, bytes], Optional[Generator]]
 
+#: Fabric tags start at 1 and are run-scoped (they name the protocol's
+#: channels, whose primitives reach postmortems and stall trips).
+_fabric_tags = RunScopedCounter(1)
+
 
 class SVMFabric:
     """Machine-wide channel naming for one SVM protocol instance."""
-
-    _tags = 0
 
     def __init__(self, runtime: VMMCRuntime, nprocs: int, ring_bytes: int = 32 * 1024):
         self.runtime = runtime
         self.nprocs = nprocs
         self.ring_bytes = ring_bytes
-        SVMFabric._tags += 1
-        self.tag = SVMFabric._tags
+        self.tag = next(_fabric_tags)
 
     def _name(self, kind: str, dst: int, src: int) -> str:
         return f"svm{self.tag}.{kind}.{dst}.from.{src}"

@@ -54,10 +54,5 @@ class HLRCAUProtocol(SVMProtocol):
     name = "hlrc-au"
     uses_au_bindings = True
 
-    def __init__(self, runtime, nprocs, ring_bytes: int = 32 * 1024,
-                 au_combine: bool = False):
-        super().__init__(runtime, nprocs, ring_bytes)
-        self.au_combine = au_combine
-
     def make_node(self, index, endpoint) -> HLRCAUNode:
         return HLRCAUNode(self, index, endpoint)

@@ -106,7 +106,15 @@ class SVMProtocol:
         runtime: VMMCRuntime,
         nprocs: int,
         ring_bytes: int = 32 * 1024,
+        au_combine: bool = False,
     ):
+        if au_combine and not self.uses_au_bindings:
+            raise ValueError(
+                f"SVM protocol {self.name!r} binds no pages for automatic "
+                "update, so it has no AU combining to turn on"
+            )
+        #: Combining for the AU bindings of AU protocols (section 4.5.1).
+        self.au_combine = au_combine
         self.runtime = runtime
         self.nprocs = nprocs
         self.sim = runtime.sim

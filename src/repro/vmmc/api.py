@@ -24,9 +24,6 @@ from .reliable import ReliableChannel, ReliableConfig, ReliableReceiverState
 
 __all__ = ["VMMCRuntime", "VMMCEndpoint", "AUBinding"]
 
-#: Ack size for a channel this runtime has no sender record of.
-_DEFAULT_ACK_BYTES = ReliableConfig().ack_bytes
-
 
 class AUBinding:
     """An active automatic-update binding of local pages to a remote buffer."""
@@ -70,8 +67,6 @@ class VMMCRuntime:
         #: Reliable-mode sender channels, by channel id (machine-wide:
         #: channel ids are globally unique).
         self._reliable_senders: Dict[int, ReliableChannel] = {}
-        #: One zero payload per ack size, shared by every ack of that size.
-        self._ack_payloads: Dict[int, bytes] = {}
         self._export_announced = Signal(self.sim, "vmmc.export")
         # Bound lazily on first use (hot delivery path).
         self._messages_received_counter = None
@@ -153,16 +148,7 @@ class VMMCRuntime:
         states = self._node_state[node_id].reliable_rx
         state = states.get(channel)
         if state is None:
-            sender = self._reliable_senders.get(channel)
-            ack_bytes = (
-                sender.config.ack_bytes if sender is not None else _DEFAULT_ACK_BYTES
-            )
-            payload = self._ack_payloads.get(ack_bytes)
-            if payload is None:
-                payload = self._ack_payloads[ack_bytes] = bytes(ack_bytes)
-            state = states[channel] = ReliableReceiverState(
-                channel, packet.src, payload
-            )
+            state = states[channel] = ReliableReceiverState(channel, packet.src)
         accepted = state.accept(packet.seq)
         if not accepted:
             if packet.seq < state.expected:

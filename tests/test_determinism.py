@@ -10,6 +10,8 @@ change that perturbs scheduling order fails here before it can corrupt
 the benchmark baselines.
 """
 
+import pytest
+
 from repro import Machine
 from repro.faults import FaultConfig
 from repro.monitor import MonitorConfig
@@ -98,6 +100,27 @@ def test_suite_app_run_is_deterministic():
     first = _run_suite_app(seed=7)
     second = _run_suite_app(seed=7)
     _assert_identical(first, second)
+
+
+@pytest.mark.parametrize("app_name,mode", [("Radix-VMMC", "du"),
+                                           ("Radix-SVM", "au")])
+def test_back_to_back_app_runs_name_the_same_primitives(app_name, mode):
+    """Barrier-group and SVM-fabric tags name exported buffers and
+    channels, so they are run-scoped: a second same-seed run in one process
+    lists the same primitive names as the first (``vg1.*``, ``svm1.*``),
+    as a fresh process would."""
+    from repro.apps.base import run_app
+    from repro.sim.resources import PRIMITIVES
+    from repro.study.suite import spec
+
+    def names():
+        suite_app = spec(app_name)
+        run_app(suite_app.factory(mode), 2, params=suite_app.params)
+        return [prim.name for prim in PRIMITIVES]
+
+    first = names()
+    assert any(".vg1." in name or ".svm1." in name for name in first)
+    assert names() == first
 
 
 def _span_shapes(machine):

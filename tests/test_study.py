@@ -274,6 +274,16 @@ def test_combine_param_changes_radix_vmmc_and_default_does_not():
     assert run(combine=True)["elapsed_us"] != default["elapsed_us"]
 
 
+def test_combine_param_on_a_protocol_without_au_bindings_fails():
+    from repro.fleet import make_spec, resolve_workload
+
+    with pytest.raises(ValueError, match="'hlrc'"):
+        resolve_workload("app").run(make_spec(
+            "app", nodes=2, app="Radix-SVM", mode="au", protocol="hlrc",
+            combine=True, observe=False,
+        ))
+
+
 def test_report_formatting():
     table = format_table("T", ["a", "bb"], [[1, 2.5], ["xx", "y"]])
     lines = table.splitlines()

@@ -206,6 +206,17 @@ def test_make_protocol_rejects_unknown():
         make_protocol("sequential-consistency", vmmc, 2)
 
 
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_au_combine_needs_au_bindings(protocol):
+    vmmc = VMMCRuntime(Machine(num_nodes=2))
+    if PROTOCOLS[protocol].uses_au_bindings:
+        assert make_protocol(protocol, vmmc, 2, au_combine=True).au_combine
+    else:
+        with pytest.raises(ValueError, match=repr(protocol)):
+            make_protocol(protocol, vmmc, 2, au_combine=True)
+    assert not make_protocol(protocol, vmmc, 2).au_combine
+
+
 def test_shared_array_validation():
     machine = Machine(num_nodes=1, params=PAGE_1K)
     vmmc = VMMCRuntime(machine)

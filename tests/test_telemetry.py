@@ -149,6 +149,42 @@ def test_telemetry_off_app_run_identical():
     assert machine.telemetry.spans("vmmc.send")
 
 
+def test_telemetry_off_contended_fan_in_identical():
+    """Fifteen senders into one 4 KB receive FIFO: worms wait for links
+    and hold their paths under backpressure.  Telemetry on and off take
+    the same trajectory, and each link's utilization timeline integrates
+    to that link's own busy time."""
+    from repro.fleet.workloads import spawn_fan_in
+    from repro.hardware import DEFAULT_PARAMS
+
+    def fan_in(telemetry):
+        machine = Machine(
+            num_nodes=16,
+            seed=7,
+            telemetry=telemetry,
+            params=DEFAULT_PARAMS.with_overrides(rx_fifo_bytes=4096),
+        )
+        spawn_fan_in(machine, nbytes=256)
+        machine.sim.run()
+        return machine
+
+    plain, traced = fan_in(False), fan_in(True)
+    assert plain.sim.now == traced.sim.now
+    assert plain.sim.events_processed == traced.sim.events_processed
+    assert plain.stats.snapshot() == traced.stats.snapshot()
+    assert traced.stats.counter_value("rx.backpressure") > 0
+    timelines = traced.telemetry.timelines
+    used = 0
+    for (a, b), link in traced.backplane._links.items():
+        timeline = timelines.get(f"link.{a}-{b}")
+        if timeline is None:
+            assert link.busy_time == 0.0
+            continue
+        used += 1
+        assert timeline.integrate(0.0, traced.now) == link.busy_time
+    assert used > 1
+
+
 # -- exporters ------------------------------------------------------------
 
 
