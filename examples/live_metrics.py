@@ -7,8 +7,9 @@ This walks the ``repro.obs`` surface from the library API:
    cadence armed: ring-buffered series, a Prometheus-style scrape and
    the observational zero-overhead contract (the observed run's
    trajectory is byte-identical to an unobserved one);
-2. **serve SLO series** — the serving tier through a link outage, with
-   the live ok/late/failed counters sampled as time series;
+2. **serve SLO series** — the fleet ``demos`` serve-smoke scenario (the
+   serving tier through a permanent link outage), with the live
+   ok/late/failed counters sampled as time series;
 3. **host-time profiling** — where the simulator's wall clock goes,
    attributed to components by stack sampling;
 4. **HTML evidence** — the series rendered into a self-contained page.
@@ -71,21 +72,20 @@ def live_metrics() -> None:
 
 def serve_slo_series():
     # CLI: python -m repro.obs scrape --workload serve-chaos
-    from repro.serve import ServeCluster, ServeConfig, make_chaos
-
-    config = ServeConfig(
-        num_shards=2,
-        num_aggregates=2,
-        offered_rps=25_000.0,
-        duration_us=4_000.0,
-        retx_timeout_us=200.0,
-        retx_max_retries=2,
+    # The fleet demos matrix's serve-smoke scenario: a 2x2 serving tier
+    # loses one link for good, with the tier's SLO counters sampled live.
+    from repro.fleet.workloads import (
+        SERVE_SMOKE_CONFIG,
+        SERVE_SMOKE_OUTAGE_AT_US,
     )
-    machine = Machine(num_nodes=config.num_nodes)
-    obs = machine.enable_obs(ObsConfig(cadence_us=100.0))
-    cluster = ServeCluster(config, machine=machine)
+    from repro.serve import ServeCluster, make_chaos
+
+    cluster = ServeCluster(SERVE_SMOKE_CONFIG)
+    obs = cluster.machine.enable_obs(ObsConfig(cadence_us=100.0))
     cluster.setup()
-    chaos = make_chaos("link-outage", at_us=1_000.0, duration_us=None)
+    chaos = make_chaos(
+        "link-outage", at_us=SERVE_SMOKE_OUTAGE_AT_US, duration_us=None
+    )
     chaos.apply(cluster)
     report = cluster.run()
     failed = obs.series["serve.slo.failed"].points

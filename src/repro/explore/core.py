@@ -33,7 +33,10 @@ from ..study.report import format_bars, format_series, format_table
 __all__ = [
     "Resolved",
     "resolve",
+    "record_resolved",
     "list_table",
+    "entry_text",
+    "show_resolved",
     "show_record",
     "compare_refs",
     "attr_diff",
@@ -88,7 +91,8 @@ def _matches(record: Dict, clauses: Dict[str, str]) -> bool:
     return True
 
 
-def _record_resolved(fingerprint: str, record: Dict) -> Resolved:
+def record_resolved(fingerprint: str, record: Dict) -> Resolved:
+    """A loaded store record as the resolver would return it."""
     entry = record.get("bench")
     spec = ExperimentSpec.from_json(record["spec"])
     label = f"{spec.describe()} @{fingerprint[:8]}"
@@ -139,7 +143,7 @@ def resolve(store: RunStore, ref: str) -> Resolved:
                 f"{ref!r} is ambiguous: {len(hits)} records match "
                 f"({listing}{'...' if len(hits) > 8 else ''})"
             )
-        return _record_resolved(*hits[0])
+        return record_resolved(*hits[0])
     hits = [
         fingerprint
         for fingerprint in store.fingerprints()
@@ -154,7 +158,7 @@ def resolve(store: RunStore, ref: str) -> Resolved:
         raise ValueError(
             f"fingerprint prefix {ref!r} is ambiguous: {', '.join(hits)}"
         )
-    return _record_resolved(hits[0], store.load(hits[0]))
+    return record_resolved(hits[0], store.load(hits[0]))
 
 
 # -- list ---------------------------------------------------------------
@@ -204,8 +208,34 @@ def list_table(store: RunStore) -> str:
 # -- show ---------------------------------------------------------------
 
 
-def show_record(store: RunStore, ref: str) -> str:
-    resolved = resolve(store, ref)
+def entry_text(entry: Optional[Dict]) -> str:
+    """A bench entry's samples line and its attribution bars."""
+    if entry is None:
+        return "no samples (report-only record; see drill)"
+    parts = [
+        f"samples: n={len(entry['samples'])} "
+        f"median={entry['median']:.3f} mean={entry['mean']:.3f} "
+        f"min={entry['min']:.3f} max={entry['max']:.3f} "
+        f"p95={entry['p95']:.3f} {entry['unit']}"
+    ]
+    if "attribution" in entry:
+        parts.append(
+            format_bars(
+                f"Critical-path attribution "
+                f"({entry.get('ops', 0)} ops, mean us/op)",
+                [
+                    (component, value)
+                    for component, value in entry["attribution"].items()
+                    if value > 0.0
+                ],
+                unit="us",
+            )
+        )
+    return "\n\n".join(parts)
+
+
+def show_resolved(store: RunStore, resolved: Resolved) -> str:
+    """One resolved reference in full: what ``explore show`` prints."""
     parts: List[str] = []
     if resolved.record is None:
         parts.append(f"Baseline entry: {resolved.label}")
@@ -247,30 +277,12 @@ def show_record(store: RunStore, ref: str) -> str:
                     for kind in sorted(artifacts)
                 )
             )
-    entry = resolved.entry
-    if entry is None:
-        parts.append("no samples (report-only record; see drill)")
-    else:
-        parts.append(
-            f"samples: n={len(entry['samples'])} "
-            f"median={entry['median']:.3f} mean={entry['mean']:.3f} "
-            f"min={entry['min']:.3f} max={entry['max']:.3f} "
-            f"p95={entry['p95']:.3f} {entry['unit']}"
-        )
-        if "attribution" in entry:
-            parts.append(
-                format_bars(
-                    f"Critical-path attribution "
-                    f"({entry.get('ops', 0)} ops, mean us/op)",
-                    [
-                        (component, value)
-                        for component, value in entry["attribution"].items()
-                        if value > 0.0
-                    ],
-                    unit="us",
-                )
-            )
+    parts.append(entry_text(resolved.entry))
     return "\n\n".join(parts)
+
+
+def show_record(store: RunStore, ref: str) -> str:
+    return show_resolved(store, resolve(store, ref))
 
 
 # -- compare ------------------------------------------------------------

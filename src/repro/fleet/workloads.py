@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..serve.config import ServeConfig
 from ..telemetry import critpath
 
 __all__ = [
@@ -63,6 +64,8 @@ __all__ = [
     "spawn_fan_in",
     "spawn_outage",
     "OUTAGE_AT_US",
+    "SERVE_SMOKE_CONFIG",
+    "SERVE_SMOKE_OUTAGE_AT_US",
     "SERVE_CHAOS_AT_US",
     "SERVE_CHAOS_DURATION_US",
     "spawn_nx_coll",
@@ -329,6 +332,19 @@ def spawn_fan_in(machine, nbytes: int, commit_lock: bool = False) -> None:
 #: Virtual time at which :func:`spawn_outage`'s link goes dark for good.
 OUTAGE_AT_US = 1_000.0
 
+#: The serve-smoke scenario (``monitor scenario=serve-smoke``, ``python -m
+#: repro.obs scrape --workload serve-chaos``): a 2x2 serving tier whose
+#: aggregate-to-shard route loses a link for good at
+#: :data:`SERVE_SMOKE_OUTAGE_AT_US`.  The retry budget is kept small so
+#: the crossing channels fail (and the monitor names the dead link) well
+#: before the drain completes.
+SERVE_SMOKE_CONFIG = ServeConfig(
+    num_shards=2, num_aggregates=2, balancer="hash", arrivals="poisson",
+    offered_rps=25_000.0, duration_us=8_000.0, slo_timeout_us=1_000.0,
+    retx_timeout_us=200.0, retx_max_retries=3,
+)
+SERVE_SMOKE_OUTAGE_AT_US = 1_500.0
+
 
 def spawn_outage(machine) -> None:
     """Node 0 sends two 2 KB messages to node 1 over a reliable channel,
@@ -520,7 +536,7 @@ def _run_ping(spec) -> FleetResult:
 
 
 def _run_serve(spec) -> FleetResult:
-    from ..serve import ServeCluster, ServeConfig, make_chaos
+    from ..serve import ServeCluster, make_chaos
 
     # Chaos goes through repro.serve scenarios, not fleet fault plans.
     _require_defaults(spec, nodes_free=True)
@@ -641,16 +657,9 @@ def _serve_smoke(seed: int):
     it must degrade without deadlocking (``smoke: PASS``), and the
     monitor's postmortem must name the dead link."""
     from ..monitor import MonitorConfig
-    from ..serve import ServeCluster, ServeConfig, make_chaos
+    from ..serve import ServeCluster, make_chaos
 
-    # The retry budget is kept small so the crossing channels fail (and
-    # the monitor names the dead link) well before the drain completes.
-    config = ServeConfig(
-        num_shards=2, num_aggregates=2, balancer="hash", arrivals="poisson",
-        offered_rps=25_000.0, duration_us=8_000.0, slo_timeout_us=1_000.0,
-        retx_timeout_us=200.0, retx_max_retries=3,
-    )
-    cluster = ServeCluster(config, seed=seed, telemetry=True)
+    cluster = ServeCluster(SERVE_SMOKE_CONFIG, seed=seed, telemetry=True)
     # Serving queues legitimately sit idle between arrivals and run deep
     # under bursts; keep the generic watchdogs from crying wolf while the
     # transport-level trips (retx storms, delivery failures) stay sharp.
@@ -660,7 +669,9 @@ def _serve_smoke(seed: int):
         retx_storm_rounds=3,
     ))
     cluster.setup()
-    chaos = make_chaos("link-outage", at_us=1_500.0, duration_us=None)
+    chaos = make_chaos(
+        "link-outage", at_us=SERVE_SMOKE_OUTAGE_AT_US, duration_us=None
+    )
     chaos.apply(cluster)
     head = f"chaos: {chaos.describe(cluster)}"
     report = cluster.run()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, List, Tuple
 
+from ..sim.ids import RunScopedCounter
 from ..vmmc import VMMCRuntime
 from ..node import NodeProcess
 from .channel import RingReceiver, RingSender
@@ -37,11 +38,13 @@ _PUT_HDR = struct.Struct("<iI")  # tag, superstep
 _RT_PUT = 1
 _RT_SYNC = 2
 
+#: World tags start at 1 and are run-scoped (they name exported buffers,
+#: whose arrival signals reach postmortems and stall trips).
+_world_tags = RunScopedCounter(1)
+
 
 class BSPWorld:
     """Shared configuration of one BSP job."""
-
-    _tags = 0
 
     def __init__(self, runtime: VMMCRuntime, nprocs: int,
                  ring_bytes: int = 16 * 1024):
@@ -50,8 +53,7 @@ class BSPWorld:
         self.runtime = runtime
         self.nprocs = nprocs
         self.ring_bytes = ring_bytes
-        BSPWorld._tags += 1
-        self.tag = BSPWorld._tags
+        self.tag = next(_world_tags)
 
     def join(self, pid: int, proc: NodeProcess) -> Generator:
         if not 0 <= pid < self.nprocs:

@@ -18,6 +18,7 @@ import struct
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..sim import Queue, Resource, Signal
+from ..sim.ids import RunScopedCounter
 from ..vmmc import VMMCEndpoint, VMMCRuntime
 from ..node import NodeProcess
 from .channel import RingReceiver, RingSender
@@ -37,6 +38,10 @@ _BCAST_TYPE = (1 << 24) + 4096
 _GATHER_BASE = (1 << 24) + 8192
 _REDUCE_BASE = (1 << 24) + 16384
 
+#: World tags start at 1 and are run-scoped (they name exported ring
+#: buffers, whose arrival signals reach postmortems and stall trips).
+_world_tags = RunScopedCounter(1)
+
 
 class NXWorld:
     """Shared configuration for one NX job.
@@ -49,8 +54,6 @@ class NXWorld:
     point-to-point calls are unaffected.  Requires rank *r* to live on
     node *r* (the collective trees are embedded in the physical mesh).
     """
-
-    _tags = 0
 
     def __init__(
         self,
@@ -68,8 +71,7 @@ class NXWorld:
         self.nprocs = nprocs
         self.transport = transport
         self.ring_bytes = ring_bytes
-        NXWorld._tags += 1
-        self.tag = NXWorld._tags
+        self.tag = next(_world_tags)
         self.ranks: Dict[int, "NXRank"] = {}
         self.coll_world = None
         if coll is not None:

@@ -10,7 +10,8 @@ Four pillars (DESIGN.md section 17):
 * :class:`SamplingProfiler` — a host-time sampling profiler attributing
   the simulator's wall clock to its components;
 * the HTML evidence renderer (``python -m repro.obs html``) over the run
-  store, BENCH documents, metric series and monitor postmortems.
+  store, BENCH documents, metric series and text reports; its text is
+  the ``explore``/``bench`` CLIs' own output.
 
 Everything here observes and never schedules: obs-off runs are
 byte-identical to builds without the subsystem, and obs-on runs have an

@@ -3,12 +3,16 @@
 * ``scrape`` — run a built-in workload with live metrics armed and print
   the Prometheus-style exposition of the final sample; ``--jsonl`` streams
   every sample tick, ``--series-out`` writes the retained history as JSON
-  (both feed ``html``)::
+  (both feed ``html``).  ``serve-chaos`` runs the fleet ``demos`` matrix's
+  serve-smoke scenario (``SERVE_SMOKE_CONFIG`` in
+  :mod:`repro.fleet.workloads`), so its ``repro_serve_slo_ok``/``_failed``
+  equal that record's ``ok``/``failed`` at the same seed::
 
       python -m repro.obs scrape --workload serve-chaos --jsonl obs.jsonl
 
 * ``html`` — render a run store, BENCH document, metrics export or text
-  report into one self-contained HTML page::
+  report into one self-contained HTML page whose text blocks are the
+  ``explore list``/``explore show``/``bench`` output itself::
 
       python -m repro.obs html runs --out report.html
 
@@ -40,8 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scrape.add_argument(
         "--workload", choices=("seed", "serve-chaos"), default="seed",
-        help="seed: a 4-node VMMC stream; serve-chaos: a small serving "
-        "tier through a permanent link outage (default: seed)",
+        help="seed: a 4-node VMMC stream; serve-chaos: the fleet demos "
+        "serve-smoke scenario, a 2x2 serving tier through a permanent "
+        "link outage (default: seed)",
     )
     scrape.add_argument(
         "--cadence-us", type=float, default=50.0,
@@ -108,27 +113,17 @@ def _scrape_seed(args, config: ObsConfig):
 
 
 def _scrape_serve_chaos(args, config: ObsConfig):
-    """A small serving tier through a permanent link outage, metrics on."""
-    from ..node import Machine
-    from ..serve import ServeCluster, ServeConfig
-    from ..serve.chaos import make_chaos
+    """The ``demos`` serve-smoke scenario (a 2x2 serving tier loses a
+    link for good), metrics armed."""
+    from ..fleet.workloads import SERVE_SMOKE_CONFIG, SERVE_SMOKE_OUTAGE_AT_US
+    from ..serve import ServeCluster, make_chaos
 
-    serve_config = ServeConfig(
-        num_shards=2,
-        num_aggregates=2,
-        balancer="hash",
-        arrivals="poisson",
-        offered_rps=25_000.0,
-        duration_us=4_000.0,
-        slo_timeout_us=1_000.0,
-        retx_timeout_us=200.0,
-        retx_max_retries=2,
-    )
-    machine = Machine(num_nodes=serve_config.num_nodes, seed=args.seed)
-    obs = machine.enable_obs(config)
-    cluster = ServeCluster(serve_config, seed=args.seed, machine=machine)
+    cluster = ServeCluster(SERVE_SMOKE_CONFIG, args.seed)
+    obs = cluster.machine.enable_obs(config)
     cluster.setup()
-    chaos = make_chaos("link-outage", at_us=1_000.0, duration_us=None)
+    chaos = make_chaos(
+        "link-outage", at_us=SERVE_SMOKE_OUTAGE_AT_US, duration_us=None
+    )
     chaos.apply(cluster)
     print(f"# chaos: {chaos.describe(cluster)}", file=sys.stderr)
     report = cluster.run()

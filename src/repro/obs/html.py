@@ -2,20 +2,24 @@
 
 ``python -m repro.obs html TARGET`` renders, depending on the target:
 
-* a **run-store directory** — the run list, per-record critical-path
-  attribution tables, median-vs-nodes trend charts (one per workload with
-  enough points, via the explorer's machine-readable trend rows),
-  per-record sample series, monitor trips and postmortem links (a tripped
-  chaos run names its dead link right in the report);
-* a **``BENCH_*`` JSON document** — the benchmark table with per-entry
-  sample charts and attribution;
-* an **obs JSONL / series JSON export** — one time-series chart per
-  recorded metric;
+* a **run-store directory** — the ``explore list`` table, median-vs-nodes
+  trend charts (one per workload with enough points, via the explorer's
+  machine-readable trend rows), and one card per record: the ``explore
+  show`` text (spec, metrics, monitor trips, attribution bars; a tripped
+  chaos run's ``retx_storm``/``delivery_failed`` details name the dead
+  link), the artifact links and the samples chart;
+* a **``BENCH_*`` JSON document** (read through ``load_bench``) — the
+  ``bench`` summary table, then each entry's ``explore`` samples line,
+  attribution bars and samples chart;
+* an **obs JSONL / series JSON export** — a metric table and one
+  time-series chart per recorded metric;
 * a **text report** (serve SLO report, monitor report) — verbatim.
 
-Everything is a single self-contained file: inline CSS, inline SVG, no
-JavaScript, no external assets — it renders identically from a CI
-artifact tab, ``file://``, or a code-review attachment.
+Text blocks are the CLIs' own output in ``<pre>``, so run records and
+bench entries are formatted in one place; this module adds only charts
+and links.  Everything is a single self-contained file: inline CSS,
+inline SVG, no JavaScript, no external assets — it renders identically
+from a CI artifact tab, ``file://``, or a code-review attachment.
 """
 
 from __future__ import annotations
@@ -137,41 +141,17 @@ def svg_chart(
 # -- shared fragments ---------------------------------------------------
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{_esc(c)}</td>" for c in row) + "</tr>"
-        for row in rows
-    )
-    return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
+def _pre(text: str) -> str:
+    return f"<pre>{_esc(text)}</pre>"
 
 
-def _attribution_table(entry: Dict) -> Optional[str]:
-    attribution = entry.get("attribution")
-    if not attribution:
-        return None
-    share = entry.get("attribution_share", {})
-    rows = [
-        [component, f"{value:.3f}", f"{100.0 * share.get(component, 0.0):.1f}%"]
-        for component, value in attribution.items()
-        if value > 0.0
-    ]
-    if not rows:
-        return None
-    return (
-        "<h4>Critical-path attribution "
-        f"({entry.get('ops', 0)} ops, mean us/op)</h4>"
-        + _table(["component", "us/op", "share"], rows)
-    )
-
-
-def _samples_chart(name: str, entry: Dict) -> Optional[str]:
-    samples = entry.get("samples")
+def _samples_chart(name: str, entry: Optional[Dict]) -> str:
+    samples = entry.get("samples") if entry else None
     if not samples:
-        return None
+        return ""
     return svg_chart(
         {name: [(i, s) for i, s in enumerate(samples)]},
-        f"{name} samples ({entry.get('unit', '?')})",
+        f"{name} samples",
         x_label="sample",
     )
 
@@ -185,14 +165,8 @@ body {{ font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto;
        max-width: 72rem; padding: 0 1rem; color: #0f172a; }}
 h1 {{ font-size: 1.5rem; border-bottom: 2px solid #cbd5e1; }}
 h2 {{ font-size: 1.2rem; margin-top: 2rem; }}
-table {{ border-collapse: collapse; margin: .5rem 0; }}
-th, td {{ border: 1px solid #cbd5e1; padding: .25rem .6rem;
-          text-align: left; font-variant-numeric: tabular-nums; }}
-th {{ background: #f1f5f9; }}
 .card {{ border: 1px solid #cbd5e1; border-radius: 6px;
          padding: .75rem 1rem; margin: 1rem 0; }}
-.trip {{ color: #b91c1c; }}
-.healthy {{ color: #047857; }}
 .meta {{ color: #64748b; font-size: .85rem; }}
 pre {{ background: #f8fafc; border: 1px solid #e2e8f0;
        padding: .75rem; overflow-x: auto; }}
@@ -211,97 +185,24 @@ svg .ca {{ font: 11px system-ui, sans-serif; fill: #475569; }}
 
 
 def _record_card(store, fingerprint: str, record: Dict) -> str:
-    from ..fleet.catalog import ExperimentSpec
+    """``explore show``'s text, the artifact links and the samples chart."""
+    from ..explore.core import record_resolved, show_resolved
 
-    spec = ExperimentSpec.from_json(record["spec"])
-    parts = [f"<div class='card' id='r{_esc(fingerprint[:12])}'>"]
-    parts.append(
-        f"<h3>{_esc(spec.describe())} "
-        f"<span class='meta'>@{_esc(fingerprint[:12])}</span></h3>"
-    )
-    metrics = record.get("metrics") or {}
-    if metrics:
-        parts.append(
-            "<p class='meta'>"
-            + ", ".join(
-                f"{_esc(k)}={_esc(_fmt(float(v)))}"
-                for k, v in sorted(metrics.items())
-            )
-            + "</p>"
-        )
-    entry = record.get("bench")
-    if entry:
-        parts.append(
-            "<p>"
-            f"n={len(entry['samples'])} median={entry['median']:.3f} "
-            f"mean={entry['mean']:.3f} p95={entry['p95']:.3f} "
-            f"{_esc(entry['unit'])}</p>"
-        )
-        attribution = _attribution_table(entry)
-        if attribution:
-            parts.append(attribution)
-        chart = _samples_chart(record["workload"], entry)
-        if chart:
-            parts.append(chart)
-    monitor = record.get("monitor")
-    if monitor is not None:
-        if monitor.get("healthy", True):
-            parts.append("<p class='healthy'>monitor: healthy</p>")
-        else:
-            trips = monitor.get("trips", [])
-            parts.append(
-                f"<p class='trip'>monitor: {len(trips)} trip(s)</p>"
-            )
-            parts.append(
-                _table(
-                    ["t (us)", "kind", "subject", "detail"],
-                    [
-                        [
-                            f"{trip['time']:.1f}",
-                            trip["kind"],
-                            trip["subject"],
-                            trip["detail"],
-                        ]
-                        for trip in trips
-                    ],
-                )
-            )
-            down = _postmortem_links(store, record)
-            if down:
-                parts.append(down)
-    artifacts = record.get("artifacts", {})
-    if artifacts:
-        links = []
-        for kind in sorted(artifacts):
-            path = store.artifact_path(record, kind)
-            if path:
-                rel = os.path.relpath(path, store.root)
-                links.append(f"<a href='{_esc(rel)}'>{_esc(kind)}</a>")
-        if links:
-            parts.append("<p class='meta'>artifacts: " + " · ".join(links) + "</p>")
+    parts = [
+        f"<div class='card' id='r{_esc(fingerprint[:12])}'>",
+        _pre(show_resolved(store, record_resolved(fingerprint, record))),
+    ]
+    links = []
+    for kind in sorted(record.get("artifacts", {})):
+        path = store.artifact_path(record, kind)
+        if path:
+            rel = os.path.relpath(path, store.root)
+            links.append(f"<a href='{_esc(rel)}'>{_esc(kind)}</a>")
+    if links:
+        parts.append("<p class='meta'>artifacts: " + " · ".join(links) + "</p>")
+    parts.append(_samples_chart(record["workload"], record.get("bench")))
     parts.append("</div>")
     return "".join(parts)
-
-
-def _postmortem_links(store, record: Dict) -> Optional[str]:
-    """Name the dead links straight from the postmortem sidecar."""
-    path = store.artifact_path(record, "postmortem")
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    down = doc.get("down_links") or []
-    rel = os.path.relpath(path, store.root)
-    if not down:
-        return f"<p class='meta'>postmortem: <a href='{_esc(rel)}'>{_esc(rel)}</a></p>"
-    names = ", ".join(f"link{tuple(link)}" for link, _s, _e in down)
-    return (
-        f"<p class='trip'>dead links at capture: {_esc(names)} "
-        f"(<a href='{_esc(rel)}'>postmortem</a>)</p>"
-    )
 
 
 def _store_trends(store) -> List[str]:
@@ -345,47 +246,15 @@ def _is_number(value) -> bool:
 
 def render_store_html(store) -> str:
     """The full evidence page over one run-store directory."""
-    from ..fleet.catalog import ExperimentSpec
+    from ..explore.core import list_table
 
-    records = list(store.records())
-    rows = []
-    for fingerprint, record in records:
-        spec = ExperimentSpec.from_json(record["spec"])
-        entry = record.get("bench")
-        monitor = record.get("monitor") or {}
-        rows.append(
-            [
-                fingerprint[:12],
-                spec.workload,
-                " ".join(f"{k}={v}" for k, v in spec.params) or "-",
-                spec.nodes,
-                spec.fault_plan,
-                len(entry["samples"]) if entry else 0,
-                f"{entry['median']:.2f}" if entry else "-",
-                record.get("unit", "?"),
-                len(monitor.get("trips", [])),
-            ]
-        )
-    body = [f"<h2>Run list ({len(records)} records)</h2>"]
-    body.append(
-        _table(
-            ["fingerprint", "workload", "params", "nodes", "faults",
-             "n", "median", "unit", "trips"],
-            rows,
-        )
-    )
-    invalid = store.invalid()
-    if invalid:
-        body.append("<h2>Invalid records</h2>")
-        body.append(
-            _table(["fingerprint", "reason"], [[f, r] for f, r in invalid])
-        )
+    body = [_pre(list_table(store))]
     trends = _store_trends(store)
     if trends:
         body.append("<h2>Trends</h2>")
         body.extend(trends)
     body.append("<h2>Records</h2>")
-    for fingerprint, record in records:
+    for fingerprint, record in store.records():
         body.append(_record_card(store, fingerprint, record))
     return _page(f"Run store: {store.root}", "".join(body))
 
@@ -394,44 +263,25 @@ def render_store_html(store) -> str:
 
 
 def render_bench_html(doc: Dict, source: str) -> str:
-    """A BENCH_* document as one page."""
-    body = []
-    rows = [
-        [
-            name,
-            len(entry.get("samples", [])),
-            f"{entry['median']:.4g}" if "median" in entry else "-",
-            f"{entry['mean']:.4g}" if "mean" in entry else "-",
-            entry.get("unit", "?"),
-        ]
-        for name, entry in sorted(doc.get("benchmarks", {}).items())
-    ]
-    body.append(f"<h2>Benchmarks ({len(rows)})</h2>")
-    body.append(_table(["benchmark", "n", "median", "mean", "unit"], rows))
-    for name, entry in sorted(doc.get("benchmarks", {}).items()):
-        section = []
-        attribution = _attribution_table(entry)
-        if attribution:
-            section.append(attribution)
-        chart = _samples_chart(name, entry)
-        if chart:
-            section.append(chart)
-        if section:
-            body.append(f"<div class='card'><h3>{_esc(name)}</h3>")
-            body.extend(section)
-            body.append("</div>")
-    label = doc.get("label", "?")
-    return _page(f"Bench document: {label} ({source})", "".join(body))
+    """A BENCH_* document: ``render_summary``, then each entry's
+    samples line, attribution bars and samples chart."""
+    from ..bench.core import render_summary
+    from ..explore.core import entry_text
+
+    body = [_pre(render_summary(doc))]
+    for name, entry in doc["benchmarks"].items():
+        body.append(
+            f"<div class='card'><h3>{_esc(name)}</h3>"
+            f"{_pre(entry_text(entry))}{_samples_chart(name, entry)}</div>"
+        )
+    return _page(f"Bench document: {doc['label']} ({source})", "".join(body))
 
 
 def render_series_html(doc: Dict, source: str) -> str:
     """An obs metrics export (series doc or JSONL rows) as one page."""
+    from ..study.report import format_table
+
     series = doc.get("series", {})
-    body = [
-        f"<p class='meta'>cadence {doc.get('cadence_us', '?')} us, "
-        f"{doc.get('samples', '?')} sample ticks, "
-        f"{len(series)} series</p>"
-    ]
     rows = [
         [
             name,
@@ -441,7 +291,14 @@ def render_series_html(doc: Dict, source: str) -> str:
         ]
         for name, data in sorted(series.items())
     ]
-    body.append(_table(["metric", "kind", "points", "last"], rows))
+    body = [
+        _pre(format_table(
+            f"{len(series)} series, cadence {doc.get('cadence_us', '?')} us, "
+            f"{doc.get('samples', '?')} sample ticks",
+            ["metric", "kind", "points", "last"],
+            rows,
+        ))
+    ]
     for name, data in sorted(series.items()):
         points = data.get("points", [])
         if len(points) < 2:
@@ -457,7 +314,7 @@ def render_series_html(doc: Dict, source: str) -> str:
 
 
 def render_text_html(text: str, source: str) -> str:
-    return _page(f"Report: {source}", f"<pre>{_esc(text)}</pre>")
+    return _page(f"Report: {source}", _pre(text))
 
 
 def _jsonl_to_series_doc(path: str) -> Dict:
@@ -495,7 +352,9 @@ def render_target(target: str) -> Tuple[str, str]:
         if "series" in doc:
             return "series", render_series_html(doc, target)
         if "benchmarks" in doc:
-            return "bench", render_bench_html(doc, target)
+            from ..bench.core import load_bench
+
+            return "bench", render_bench_html(load_bench(target), target)
         raise ValueError(
             f"{target}: unrecognized JSON document (want a BENCH_* "
             "doc with 'benchmarks' or an obs series doc with 'series')"

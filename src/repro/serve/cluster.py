@@ -107,7 +107,11 @@ class _Shard:
 
 
 class ServeCluster:
-    """A sharded serving tier on a mesh machine.
+    """A sharded serving tier on its own mesh machine.
+
+    The cluster builds ``cluster.machine`` (``config.num_nodes`` nodes,
+    seeded with ``seed``).  Arm observers on it before ``setup()`` —
+    ``cluster.machine.enable_monitor(...)`` or ``enable_obs(...)``.
 
     Usage::
 
@@ -123,22 +127,14 @@ class ServeCluster:
         config: ServeConfig,
         seed: int = 1998,
         telemetry: bool = False,
-        machine=None,
     ):
+        from ..node import Machine
+
         self.config = config
         self.seed = seed
-        if machine is None:
-            from ..node import Machine
-
-            machine = Machine(
-                num_nodes=config.num_nodes, seed=seed, telemetry=telemetry
-            )
-        elif machine.num_nodes < config.num_nodes:
-            raise ValueError(
-                f"machine has {machine.num_nodes} nodes; config needs "
-                f"{config.num_nodes}"
-            )
-        self.machine = machine
+        self.machine = machine = Machine(
+            num_nodes=config.num_nodes, seed=seed, telemetry=telemetry
+        )
         self.sim = machine.sim
         self.runtime = VMMCRuntime(machine)
         self.tracker = SloTracker([c.name for c in REQUEST_CLASSES])

@@ -123,6 +123,46 @@ def test_back_to_back_app_runs_name_the_same_primitives(app_name, mode):
     assert names() == first
 
 
+def _nx_coll_run():
+    from repro.fleet import make_spec
+    from repro.fleet.workloads import resolve_workload
+
+    spec = make_spec("coll", nodes=4, api="nx", mode="nx")
+    resolve_workload(spec.workload).run(spec)
+
+
+def _bsp_run():
+    from repro.msg import BSPWorld
+
+    machine = Machine(num_nodes=2, seed=1998)
+    world = BSPWorld(VMMCRuntime(machine), 2)
+
+    def worker(pid):
+        bsp = yield from world.join(pid, machine.create_process(pid))
+        yield from bsp.put(1 - pid, 7, bytes([pid]) * 8)
+        yield from bsp.sync()
+
+    for pid in range(2):
+        machine.sim.spawn(worker(pid), f"bsp{pid}")
+    machine.sim.run()
+
+
+@pytest.mark.parametrize("run,marker", [(_nx_coll_run, "nx1.0.from.1"),
+                                        (_bsp_run, "bsp1.0.from.1")],
+                         ids=["nx", "bsp"])
+def test_back_to_back_message_worlds_name_the_same_primitives(run, marker):
+    """NX and BSP world tags name the ring buffers, so they are run-scoped:
+    a second same-seed run in one process lists the same primitive names
+    (``nx1.0.from.1``, ``bsp1.0.from.1``) as the first."""
+    from repro.sim.resources import PRIMITIVES
+
+    run()
+    first = [prim.name for prim in PRIMITIVES]
+    assert any(marker in name for name in first)
+    run()
+    assert [prim.name for prim in PRIMITIVES] == first
+
+
 def _span_shapes(machine):
     """Spans projected without ids: the monitor's trip instants consume
     span-id numbers, so id-free shapes are what an observing monitor must
@@ -343,9 +383,9 @@ def test_obs_observation_does_not_perturb_chaos_serve():
         retx_max_retries=2,
     )
     plain, plain_report = _run_chaos_serve(seed=2026)
-    machine = Machine(num_nodes=config.num_nodes, seed=2026, telemetry=True)
+    cluster = ServeCluster(config, seed=2026, telemetry=True)
+    machine = cluster.machine
     obs = machine.enable_obs(ObsConfig(cadence_us=50.0))
-    cluster = ServeCluster(config, seed=2026, machine=machine)
     cluster.setup()
     make_chaos("link-outage", at_us=800.0, duration_us=None).apply(cluster)
     report = cluster.run()

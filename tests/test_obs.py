@@ -308,10 +308,80 @@ def test_render_store_target(tmp_path):
     kind, page = render_target(str(tmp_path / "runs"))
     assert kind == "store"
     assert "<svg" in page
-    # Run list and at least one attribution table made it in.
+    # Run list and at least one attribution chart made it in.
     for outcome in outcomes:
         assert outcome.fingerprint[:12] in page
     assert "attribution" in page.lower()
+
+
+def test_html_pages_embed_the_cli_text(tmp_path):
+    """The store page is ``explore list`` plus every record's ``explore
+    show`` text, and the bench page is ``bench``'s summary table: the
+    HTML renderer formats no record or entry itself."""
+    import html
+
+    from repro.bench.core import load_bench, render_summary
+    from repro.explore.core import list_table, show_record
+    from repro.fleet.catalog import load_catalog
+    from repro.fleet.runner import run_specs
+    from repro.fleet.store import RunStore
+    from repro.obs.html import render_target
+
+    outage = next(
+        spec for spec in load_catalog("demos").specs
+        if spec.param("scenario") == "outage"
+    )
+    store = RunStore(str(tmp_path / "runs"))
+    specs = list(load_catalog("smoke").specs) + [outage]
+    outcomes = run_specs(specs, store)
+    assert all(o.status == "ran" for o in outcomes)
+    kind, page = render_target(store.root)
+    assert kind == "store"
+    assert "<table" not in page
+    text = html.unescape(page)
+    assert list_table(store) in text
+    for fingerprint in store.fingerprints():
+        assert show_record(store, fingerprint) in text
+    # The tripped outage run names its dead link in the page.
+    assert "links down: link(0, 1)" in text
+
+    path = "benchmarks/baseline/BENCH_seed.json"
+    kind, page = render_target(path)
+    assert kind == "bench"
+    assert render_summary(load_bench(path)) in html.unescape(page)
+
+
+def test_html_reads_bench_documents_through_load_bench(tmp_path):
+    from repro.obs.html import render_target
+
+    path = tmp_path / "BENCH_old.json"
+    path.write_text(json.dumps({"schema": 0, "label": "x", "benchmarks": {}}))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        render_target(str(path))
+
+
+def test_scrape_serve_chaos_runs_the_demos_serve_smoke(capsys):
+    """``obs scrape --workload serve-chaos`` is the ``demos`` serve-smoke
+    scenario with metrics armed: its final SLO counters equal the
+    smoke report's ``ok``/``failed`` at the same seed."""
+    from repro.fleet import make_spec
+    from repro.fleet.workloads import resolve_workload
+    from repro.obs.__main__ import main
+
+    assert main(["scrape", "--workload", "serve-chaos", "--seed", "1998"]) == 0
+    exposition = capsys.readouterr().out
+    scraped = {
+        name: int(float(value))
+        for name, value in re.findall(
+            r"^repro_serve_slo_(ok|failed) (\S+)$", exposition, re.M
+        )
+    }
+    spec = make_spec("monitor", scenario="serve-smoke")
+    report = resolve_workload(spec.workload).run(spec).report
+    ok, failed = re.search(
+        r"smoke: PASS \(ok=(\d+), failed=(\d+)", report
+    ).groups()
+    assert scraped == {"ok": int(ok), "failed": int(failed)}
 
 
 def test_fleet_progress_events(tmp_path):
